@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from trapclock.core import RngStream
-from trapclock.hamiltonian import PSpinDisorder, RemDisorder, energy
+from trapclock.hamiltonian import PSpinDisorder, RemDisorder
 from trapclock.hypercube import SpinConfig
 
 N, p, draws = 10, 3, 4000
@@ -25,7 +25,7 @@ for d in (0, 1, 2, 5, 10):
     prods = np.empty(draws)
     for r in range(draws):
         dis = PSpinDisorder(N, p, RngStream(300, r))
-        prods[r] = energy(dis, base) * energy(dis, other)
+        prods[r] = dis.energy(base) * dis.energy(other)
     est = prods.mean()
     se = prods.std(ddof=1) / math.sqrt(draws)
     pred = (1.0 - 2.0 * d / N) ** p
@@ -35,11 +35,11 @@ print()
 # REM: energies are independent across configurations. The hashed generator
 # returns the same value on repeated queries without storing anything.
 rem = RemDisorder.from_seed(9, N)
-e1 = energy(rem, base)
-e2 = energy(rem, base.flip(0))
+e1 = rem.energy(base)
+e2 = rem.energy(base.flip(0))
 print(f"REM energies at N = {N}: E(sigma) = {e1:+.4f}, E(flip sigma) = {e2:+.4f}")
-print(f"repeat query identical: {energy(rem, base) == e1}")
+print(f"repeat query identical: {rem.energy(base) == e1}")
 
-vals = np.array([energy(rem, SpinConfig(N, bits)) for bits in range(1 << N)])
+vals = np.array([rem.energy(SpinConfig(N, bits)) for bits in range(1 << N)])
 print(f"all {1 << N} REM energies: mean {vals.mean():+.4f}, var {vals.var():.4f} "
       f"(standard normal target)")

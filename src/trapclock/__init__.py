@@ -23,8 +23,6 @@ from .hypercube import (
 from .hamiltonian import (
     PSpinDisorder,
     RemDisorder,
-    energy,
-    energy_delta,
     exact_trajectory_sample,
     trajectory_energies,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "derive_scales",
     "distance_distribution",
     "ehrenfest_hitting_prob",
-    "energy",
-    "energy_delta",
     "entropy_I",
     "estimate_aging",
     "estimate_aging_frozen",

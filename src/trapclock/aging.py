@@ -12,9 +12,12 @@ over fresh environments (and, optionally, over environments with a frozen
 jump chain). The REM kernel is fully vectorized: walks advance in chunks,
 site energies come from a counter-based hash so revisits see the same trap
 depth without storing the visited set, and each replica is retired as soon
-as both crossing times are known. Replica batches (and frozen-chain groups)
-each own their random streams and run on up to one thread per core, so the
-results do not depend on the core count.
+as both crossing times are known. The frozen-chain estimator runs the same
+batch code in shared-walk mode: one walk per group, broadcast against the
+group's per-replica traps and waits, with finished replicas retired as in
+the unfrozen kernel. Replica batches and frozen-chain groups each own their
+random streams and run on up to one thread per core, so the results do not
+depend on the core count.
 """
 
 from __future__ import annotations
@@ -193,6 +196,18 @@ def _clock_series(
     return out
 
 
+def _kernel_scales(params: ModelParams, t: float, s: float, chunk: int | None):
+    """(nu, chunk, targets, root) shared by the REM and frozen kernels."""
+    nu = params.nu()
+    if chunk is None:
+        chunk = max(nu, (2048 // nu) * nu)
+    if chunk % nu != 0:
+        raise ValueError("chunk length must be a multiple of nu")
+    wall = math.exp(params.gamma * params.N)
+    targets = (t * wall, (t + s) * wall)
+    return nu, chunk, targets, params.beta * math.sqrt(params.N)
+
+
 def _rem_kernel(
     params: ModelParams,
     t: float,
@@ -206,7 +221,8 @@ def _rem_kernel(
     """Simulate `replicas` independent REM clocks up to the second crossing.
 
     Replicas run in batches of `batch`, each with its own generator keyed
-    by its first replica, on up to one thread per core.
+    by its first replica, on up to one thread per core. A batch draws its
+    flips and waits from that one generator, flips first in every chunk.
 
     Returns (dist, excluded, vstar, range_undetermined):
       dist       -- Hamming distance between the sites occupied at the two
@@ -216,24 +232,14 @@ def _rem_kernel(
                     NaN where no block boundary got that far in budget
       range_und  -- mask where vstar is NaN
     """
-    N = params.N
-    nu = params.nu()
-    if chunk is None:
-        chunk = max(nu, (2048 // nu) * nu)
-    if chunk % nu != 0:
-        raise ValueError("chunk length must be a multiple of nu")
-    wall = math.exp(params.gamma * N)
-    targets = (t * wall, (t + s) * wall)
-    root = params.beta * math.sqrt(N)
-
-    ids = np.arange(replicas, dtype=np.uint64)
-    all_keys = _derive_keys(rng.substream(1), ids)
+    nu, chunk, targets, root = _kernel_scales(params, t, s, chunk)
+    all_keys = _derive_keys(rng.substream(1), np.arange(replicas, dtype=np.uint64))
     batch_rng = rng.substream(2)
-    jobs = [
-        (all_keys[lo : lo + batch], batch_rng.substream(lo).generator(),
-         N, nu, root, targets, step_cap, chunk)
-        for lo in range(0, replicas, batch)
-    ]
+    jobs = []
+    for lo in range(0, replicas, batch):
+        gen = batch_rng.substream(lo).generator()
+        jobs.append((all_keys[lo : lo + batch], gen, gen, params.N, nu, root,
+                     targets, step_cap, chunk))
     parts = _run_jobs(_rem_batch, jobs)
     dist, excluded, vstar = (np.concatenate(col) for col in zip(*parts))
     return dist, excluded, vstar, np.isnan(vstar)
@@ -241,18 +247,24 @@ def _rem_kernel(
 
 def _rem_batch(
     keys: np.ndarray,
-    gen: np.random.Generator,
+    walk_gen: np.random.Generator,
+    wait_gen: np.random.Generator,
     N: int,
     nu: int,
     root: float,
     targets: tuple[float, float],
     step_cap: int,
     chunk: int,
+    shared_walk: bool = False,
 ):
-    """One batch of `_rem_kernel`: (dist, excluded, vstar) of its replicas.
+    """One batch of REM clocks: (dist, excluded, vstar) of its replicas.
 
-    `keys` holds the batch's per-replica environment keys and `gen` is its
-    own generator, so the result depends on nothing outside the batch.
+    `keys` holds the batch's per-replica environment keys. Each chunk draws
+    its flips from `walk_gen`, then its waits from `wait_gen`, so the result
+    depends on nothing outside the batch. With `shared_walk` every replica
+    follows one jump chain (one walker row, broadcast against the key rows)
+    and only the traps and waits differ between replicas. Replicas retire
+    as soon as their second crossing is known, in either mode.
     """
     target1, target2 = targets
     n = keys.size
@@ -262,11 +274,11 @@ def _rem_batch(
     rows = np.arange(n)
     keys = keys[:, None]
     # work arrays sized for the full batch; retired replicas shrink the view
-    walk_buf = np.empty((n, chunk + 1), dtype=np.uint64)
+    walk_buf = np.empty((1 if shared_walk else n, chunk + 1), dtype=np.uint64)
     hash_buf = np.empty((n, chunk), dtype=np.uint64)
     series_buf = np.empty((n, chunk))
 
-    pos = np.zeros(n, dtype=np.uint64)
+    pos = np.zeros(walk_buf.shape[0], dtype=np.uint64)
     clock = np.zeros(n)
     site1 = np.zeros(n, dtype=np.uint64)
     site2 = np.zeros(n, dtype=np.uint64)
@@ -277,11 +289,11 @@ def _rem_batch(
     steps_done = 0
 
     while True:
-        walk = walk_buf[:n]
-        _walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
-        sites = walk[:, :-1]
+        walk = walk_buf[: pos.size]
+        _walk_into(walk, pos, walk_gen.integers(0, N, size=(pos.size, chunk)))
+        sites = np.broadcast_to(walk[:, :-1], (n, chunk))
         series = _clock_series(
-            keys, sites, clock, root, gen, hash_buf[:n], series_buf[:n]
+            keys, sites, clock, root, wait_gen, hash_buf[:n], series_buf[:n]
         )
 
         over1 = series > target1
@@ -328,7 +340,8 @@ def _rem_batch(
             vstar[rows[done]] = vloc[done]
             rows = rows[keep]
             keys = keys[keep]
-            pos = pos[keep]
+            if not shared_walk:
+                pos = pos[keep]
             clock = clock[keep]
             site1 = site1[keep]
             site2 = site2[keep]
@@ -358,86 +371,22 @@ def _frozen_rem_kernel(
 ):
     """REM kernel with the jump chain frozen within each group.
 
-    Every replica in a group walks the same trajectory; the traps (site
-    energies) and the exponential marks are redrawn per replica. Groups
+    Each group is one shared-walk `_rem_batch`: its replicas follow the
+    walk drawn from substream 1 of the group's stream, while the traps
+    (keys from substream 3) and the exponential marks (substream 2) are
+    per replica. Finished replicas retire, as in the REM kernel. Groups
     run on up to one thread per core. Returns a list of (dist, excluded)
     pairs, one per group.
     """
-    N = params.N
-    nu = params.nu()
-    if chunk is None:
-        chunk = max(nu, (2048 // nu) * nu)
-    wall = math.exp(params.gamma * N)
-    targets = (t * wall, (t + s) * wall)
-    root = params.beta * math.sqrt(N)
-    jobs = [
-        (rng.substream(100 + g), replicas_per_group, N, root, targets,
-         step_cap, chunk)
-        for g in range(groups)
-    ]
-    return _run_jobs(_frozen_group, jobs)
-
-
-def _frozen_group(
-    grng: RngStream,
-    n: int,
-    N: int,
-    root: float,
-    targets: tuple[float, float],
-    step_cap: int,
-    chunk: int,
-):
-    """One group of `_frozen_rem_kernel`: (dist, excluded) of its replicas."""
-    target1, target2 = targets
-    walk_gen = grng.substream(1).generator()
-    mark_gen = grng.substream(2).generator()
-    ids = np.arange(n, dtype=np.uint64)
-    keys = _derive_keys(grng.substream(3), ids)[:, None]
-    walk = np.empty(chunk + 1, dtype=np.uint64)
-    sites = walk[:-1]
-    hash_buf = np.empty((n, chunk), dtype=np.uint64)
-    series_buf = np.empty((n, chunk))
-
-    pos = np.uint64(0)
-    clock = np.zeros(n)
-    site1 = np.zeros(n, dtype=np.uint64)
-    site2 = np.zeros(n, dtype=np.uint64)
-    have1 = np.zeros(n, dtype=bool)
-    have2 = np.zeros(n, dtype=bool)
-    steps_done = 0
-    excluded = np.zeros(n, dtype=bool)
-
-    while True:
-        _walk_into(walk, pos, walk_gen.integers(0, N, size=chunk))
-        series = _clock_series(
-            keys, sites, clock, root, mark_gen, hash_buf, series_buf
-        )
-
-        over1 = series > target1
-        j1 = np.argmax(over1, axis=1)
-        fresh1 = ~have1 & over1[:, -1]
-        site1[fresh1] = sites[j1[fresh1]]
-        have1 |= over1[:, -1]
-
-        over2 = series > target2
-        j2 = np.argmax(over2, axis=1)
-        fresh2 = ~have2 & over2[:, -1]
-        site2[fresh2] = sites[j2[fresh2]]
-        have2 |= over2[:, -1]
-
-        clock = series[:, -1].copy()
-        pos = walk[-1]
-        steps_done += chunk
-
-        if have2.all():
-            break
-        if steps_done >= step_cap:
-            excluded = ~have2
-            break
-
-    dist = hamming_u64(site1, site2)
-    dist[excluded] = -1
-    return dist, excluded
+    nu, chunk, targets, root = _kernel_scales(params, t, s, chunk)
+    ids = np.arange(replicas_per_group, dtype=np.uint64)
+    jobs = []
+    for g in range(groups):
+        grng = rng.substream(100 + g)
+        jobs.append((_derive_keys(grng.substream(3), ids),
+                     grng.substream(1).generator(), grng.substream(2).generator(),
+                     params.N, nu, root, targets, step_cap, chunk, True))
+    return [(dist, excluded) for dist, excluded, _ in _run_jobs(_rem_batch, jobs)]
 
 
 def _pspin_kernel(

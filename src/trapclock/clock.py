@@ -6,6 +6,12 @@ orders of magnitude, so the accumulation is done in the log domain
 throughout; the linear-domain values are materialized on demand and an
 overflow flag records when they stop being representable.
 
+`simulate_clock` is one vectorized pass, the same for the REM and the
+p-spin landscapes: `sample_walk` draws the jump chain, `trajectory_energies`
+reads the energies of the visited sites and `clock_from_energies` weights
+the waits by them. There is no stateful per-step driver; a longer clock is
+a new call with more steps.
+
 Rescalings of one simulated clock (plain, coarse-grained to block
 boundaries, energy-truncated) are lazy views: they map a macroscopic time t
 to a step index and read the stored cumulative sums, so querying is O(log)
@@ -19,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, as_generator, log_cumsum_exp
+from .core import ModelParams, RngStream, as_generator, log_cumsum_exp
 from .hamiltonian import trajectory_energies
-from .hypercube import SpinConfig, WalkTrajectory
+from .hypercube import WalkTrajectory, sample_walk
 from .skorokhod import CadlagStepPath
 
 
@@ -78,65 +84,29 @@ def clock_from_energies(
     return clock_from_log_increments(log_incs)
 
 
-class ClockSimulation:
-    """Stateful driver so a clock can be advanced in chunks; advancing k1
-    then k2 steps is bit-identical to advancing k1+k2 in one call."""
-
-    def __init__(self, disorder, params: ModelParams, rng, start: SpinConfig | None = None):
-        if disorder.N != params.N:
-            raise ValueError("disorder and params disagree on N")
-        base = rng if hasattr(rng, "substream") else None
-        if base is not None:
-            self._gen_walk = base.substream(1).generator()
-            self._gen_exp = base.substream(2).generator()
-        else:
-            gen = as_generator(rng)
-            self._gen_walk = gen
-            self._gen_exp = gen
-        self.disorder = disorder
-        self.params = params
-        self.start = start if start is not None else SpinConfig.all_plus(params.N)
-        self._flips: list[int] = []
-        self._log_incs: list[float] = []
-        self._energies: list[float] = []
-        self._config = self.start
-        self._pending_energy = disorder.energy(self.start)
-
-    def advance(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("advance needs k >= 1")
-        root = self.params.beta * math.sqrt(self.params.N)
-        flips = self._gen_walk.integers(0, self.params.N, size=k)
-        waits = self._gen_exp.exponential(size=k)
-        cache = {"bits": self._config.bits, "energy": self._pending_energy}
-        for f, w in zip(flips, waits):
-            x = cache["energy"]
-            self._energies.append(x)
-            self._log_incs.append(root * x + math.log(w))
-            e, cache = self.disorder.energy_delta(self._config, int(f), cache)
-            self._config = self._config.flip(int(f))
-            self._flips.append(int(f))
-        self._pending_energy = cache["energy"]
-
-    def snapshot(self) -> tuple[WalkTrajectory, ClockPath, np.ndarray]:
-        traj = WalkTrajectory(self.start, tuple(self._flips))
-        clock = clock_from_log_increments(np.asarray(self._log_incs))
-        energies = np.concatenate([self._energies, [self._pending_energy]])
-        return traj, clock, energies
-
-
 def simulate_clock(
     disorder, params: ModelParams, steps: int, rng
 ) -> tuple[WalkTrajectory, ClockPath, np.ndarray]:
     """Simulate `steps` walk steps and the attached clock. The returned
     energy sequence has length steps+1 (one value per visited vertex);
-    increment i uses energies[i]. Walk and waiting randomness come from
-    disjoint substreams of `rng`."""
+    increment i uses energies[i].
+
+    An RngStream gives the flips from its substream 1 and the waits from
+    its substream 2; a bare Generator gives all the flips, then the waits.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    sim = ClockSimulation(disorder, params, rng)
-    sim.advance(steps)
-    return sim.snapshot()
+    if disorder.N != params.N:
+        raise ValueError("disorder and params disagree on N")
+    if isinstance(rng, RngStream):
+        walk_gen = rng.substream(1).generator()
+        wait_gen = rng.substream(2).generator()
+    else:
+        walk_gen = wait_gen = as_generator(rng)
+    traj = sample_walk(params.N, steps, walk_gen)
+    energies = trajectory_energies(disorder, traj)
+    waits = wait_gen.exponential(size=steps)
+    return traj, clock_from_energies(energies[:-1], waits, params), energies
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ Everything downstream shares three conventions defined here:
   parallelize without shared state;
 * quantities of the form exp(beta*sqrt(N)*H) are accumulated either in the
   linear domain (desk-scale N fits in float64) or in the log domain via
-  :func:`log_cumsum_exp`; a compensated-summation variant is provided for
-  accuracy-sensitive small paths.
+  :func:`log_cumsum_exp`.
 """
 
 from __future__ import annotations
@@ -314,18 +313,3 @@ def params_to_json(params: ModelParams) -> str:
 def log_cumsum_exp(log_values: np.ndarray) -> np.ndarray:
     """Running log(sum(exp(...))) along the last axis, overflow-free."""
     return np.logaddexp.accumulate(np.asarray(log_values, dtype=np.float64), axis=-1)
-
-
-def kahan_cumsum(values) -> np.ndarray:
-    """Compensated running sum (Kahan). Python-loop speed; use on short paths
-    where the plain cumsum's O(k*eps) error growth would matter."""
-    out = np.empty(len(values), dtype=np.float64)
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values):
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[i] = total
-    return out

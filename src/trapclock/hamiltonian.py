@@ -175,23 +175,6 @@ def _check_cache(cache: dict, config: SpinConfig):
         raise ValueError("stale incremental cache: checksum mismatch")
 
 
-# ---------------------------------------------------------------------------
-# module-level dispatch, matching the functional interface used elsewhere
-# ---------------------------------------------------------------------------
-
-
-def energy(disorder, config: SpinConfig) -> float:
-    return disorder.energy(config)
-
-
-def energy_cache(disorder, config: SpinConfig) -> dict:
-    return {"bits": config.bits, "energy": disorder.energy(config)}
-
-
-def energy_delta(disorder, config: SpinConfig, flip_index: int, cache: dict):
-    return disorder.energy_delta(config, flip_index, cache)
-
-
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
     """X(i) = H(Y(i)) along the trajectory, length k+1, incremental."""
     if isinstance(disorder, RemDisorder):
@@ -205,7 +188,7 @@ def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
         return np.array([disorder.energy(c) for c in traj.positions()])
     out = np.empty(traj.length + 1)
     config = traj.start
-    cache = energy_cache(disorder, config)
+    cache = {"bits": config.bits, "energy": disorder.energy(config)}
     out[0] = cache["energy"]
     for i, f in enumerate(traj.flips):
         e, cache = disorder.energy_delta(config, f, cache)

@@ -256,12 +256,8 @@ def distance_distribution(N: int, k: int) -> np.ndarray:
         raise ValueError("k must be >= 0")
     p = np.zeros(N + 1)
     p[0] = 1.0
-    down = np.arange(N + 1) / N  # prob of moving d -> d-1 from state d
     for _ in range(k):
-        q = np.zeros_like(p)
-        q[:-1] += p[1:] * down[1:]
-        q[1:] += p[:-1] * (1.0 - down[:-1])
-        p = q
+        p = _distance_step(N, p)
     assert abs(p.sum() - 1.0) < 1e-12
     return p
 
@@ -293,7 +289,7 @@ def mixing_constant_estimate(N: int, target_tv: float = 1e-6, k_max: int | None 
 
 
 def _distance_step(N: int, p: np.ndarray) -> np.ndarray:
-    down = np.arange(N + 1) / N
+    down = np.arange(N + 1) / N  # prob of moving d -> d-1 from state d
     q = np.zeros_like(p)
     q[:-1] += p[1:] * down[1:]
     q[1:] += p[:-1] * (1.0 - down[:-1])

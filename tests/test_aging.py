@@ -249,3 +249,23 @@ def test_no_worker_outlives_a_call(monkeypatch):
     estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
     assert threading.active_count() == before
     assert multiprocessing.active_children() == []
+
+
+def test_shared_walk_batch_matches_per_replica_for_one_replica():
+    # with one replica the broadcast walker row is that replica's own walk,
+    # so both modes draw and compute the same; starved caps cover exclusion
+    nu, chunk, targets, root = aging._kernel_scales(PARAMS, 1.0, 1.0, None)
+    keys = aging._derive_keys(RngStream(41, 28), np.arange(4, dtype=np.uint64))
+    for factor in (8.0, 0.3):
+        cap = aging._step_cap(PARAMS, 2.0, factor)
+        for i in range(keys.size):
+            runs = []
+            for shared in (False, True):
+                stream = RngStream(41, 29).substream(i)
+                out = aging._rem_batch(
+                    keys[i : i + 1], stream.substream(1).generator(),
+                    stream.substream(2).generator(), PARAMS.N, nu, root, targets,
+                    cap, chunk, shared,
+                )
+                runs.append([a.tobytes() for a in out])
+            assert runs[0] == runs[1]

@@ -5,7 +5,6 @@ import pytest
 import scipy.stats
 
 from trapclock.clock import (
-    ClockSimulation,
     InsufficientStepsError,
     clock_from_energies,
     clock_from_log_increments,
@@ -18,7 +17,8 @@ from trapclock.clock import (
     truncation_level,
 )
 from trapclock.core import ModelParams, RngStream
-from trapclock.hamiltonian import RemDisorder
+from trapclock.hamiltonian import PSpinDisorder, RemDisorder, trajectory_energies
+from trapclock.hypercube import sample_walk
 
 
 def _params(**kw):
@@ -194,22 +194,38 @@ def test_record_point_process_gaps_look_exponential():
     assert pvalue > 0.01
 
 
-def test_clock_additivity_bit_identical():
+@pytest.mark.parametrize("kind", ["rem", "dense"])
+def test_simulate_clock_stream_contract(kind):
+    """Flips from substream 1, waits from substream 2, energies from
+    trajectory_energies; a bare Generator gives the flips, then the waits."""
     params = _params()
-    dis = RemDisorder(16, RngStream(12, 1))
-    one = ClockSimulation(dis, params, RngStream(12, 2))
-    one.advance(40)
-    two = ClockSimulation(dis, params, RngStream(12, 2))
-    two.advance(25)
-    two.advance(15)
-    t1, c1, e1 = one.snapshot()
-    t2, c2, e2 = two.snapshot()
-    assert t1.flips == t2.flips
-    assert np.array_equal(c1.log_values, c2.log_values)
-    assert np.array_equal(e1, e2)
-    t3, c3, e3 = simulate_clock(dis, params, 40, RngStream(12, 2))
-    assert t3.flips == t1.flips
-    assert np.array_equal(c3.log_values, c1.log_values)
+    k = 400
+    if kind == "rem":
+        dis = RemDisorder(16, RngStream(12, 1))
+    else:
+        dis = PSpinDisorder(16, 3, RngStream(12, 1), mode="dense")
+    rng = RngStream(12, 2)
+    traj, clock, energies = simulate_clock(dis, params, k, rng)
+    walk = sample_walk(16, k, rng.substream(1).generator())
+    waits = rng.substream(2).generator().exponential(size=k)
+    assert traj.flips == walk.flips
+    assert np.array_equal(energies, trajectory_energies(dis, walk))
+    # rebuilding the clock from the reference waits gives the same bytes; a
+    # round trip through log_increments would lose digits to cancellation
+    want = clock_from_energies(energies[:-1], waits, params)
+    assert clock.log_values.tobytes() == want.log_values.tobytes()
+    traj2, clock2, energies2 = simulate_clock(dis, params, k, rng)
+    assert traj2.flips == traj.flips
+    assert clock2.log_values.tobytes() == clock.log_values.tobytes()
+    assert energies2.tobytes() == energies.tobytes()
+
+    ref = np.random.default_rng(12)
+    flips = tuple(int(f) for f in ref.integers(0, 16, size=k))
+    waits = ref.exponential(size=k)
+    traj, clock, energies = simulate_clock(dis, params, k, np.random.default_rng(12))
+    assert traj.flips == flips
+    want = clock_from_energies(energies[:-1], waits, params)
+    assert clock.log_values.tobytes() == want.log_values.tobytes()
 
 
 def test_clock_log_increments_round_trip():

@@ -12,7 +12,6 @@ from trapclock.core import (
     RngStream,
     derive_scales,
     gaussian_from_hash,
-    kahan_cumsum,
     log_cumsum_exp,
     mix64,
     mix64_array,
@@ -162,20 +161,6 @@ def test_gaussian_from_hash_is_standard_normal():
     assert pvalue > 0.01
     assert abs(draws.mean()) < 4.0 / np.sqrt(draws.size)
     assert abs(draws.var() - 1.0) < 6.0 / np.sqrt(draws.size)
-
-
-def test_kahan_cumsum_matches_plain_on_benign_input():
-    vals = np.array([1.0, 2.0, 3.5, -1.25])
-    assert np.array_equal(kahan_cumsum(vals), np.cumsum(vals))
-
-
-def test_kahan_cumsum_beats_plain_on_adversarial_input():
-    vals = np.array([1e16] + [1.0] * 1000)
-    exact = math.fsum(vals)
-    kahan_err = abs(kahan_cumsum(vals)[-1] - exact)
-    plain_err = abs(np.cumsum(vals)[-1] - exact)
-    assert kahan_err <= 8.0
-    assert plain_err >= 500.0
 
 
 def test_log_cumsum_exp_moderate_values():

@@ -8,14 +8,15 @@ from trapclock.core import RngStream
 from trapclock.hamiltonian import (
     PSpinDisorder,
     RemDisorder,
-    energy,
-    energy_cache,
-    energy_delta,
     exact_trajectory_sample,
     overlap_matrix,
     trajectory_energies,
 )
 from trapclock.hypercube import SpinConfig, WalkTrajectory, overlap, sample_walk
+
+
+def _cache(disorder, config):
+    return {"bits": config.bits, "energy": disorder.energy(config)}
 
 
 def _configs_at_distance(N, d):
@@ -26,13 +27,13 @@ def test_zero_couplings_zero_energy():
     dis = PSpinDisorder(5, 3, RngStream(1, 1), mode="dense")
     dis.couplings[:] = 0.0
     for bits in range(32):
-        assert energy(dis, SpinConfig(5, bits)) == 0.0
+        assert dis.energy(SpinConfig(5, bits)) == 0.0
 
 
 def test_pspin_energy_variance_is_one():
     draws = np.array(
         [
-            energy(PSpinDisorder(6, 3, RngStream(77, i), mode="dense"), SpinConfig(6, 0b101001))
+            PSpinDisorder(6, 3, RngStream(77, i), mode="dense").energy(SpinConfig(6, 0b101001))
             for i in range(4000)
         ]
     )
@@ -49,7 +50,7 @@ def test_pspin_energy_covariance_overlap_cubed(mode):
     assert target == pytest.approx(0.125)
     pairs = np.array(
         [
-            (energy(d, a), energy(d, b))
+            (d.energy(a), d.energy(b))
             for d in (PSpinDisorder(8, 3, RngStream(500, i), mode=mode) for i in range(4000))
         ]
     )
@@ -61,43 +62,43 @@ def test_pspin_energy_covariance_overlap_cubed(mode):
 def test_energy_delta_involution():
     dis = PSpinDisorder(10, 3, RngStream(9, 2))
     cfg = SpinConfig(10, 0b1100110011)
-    e0 = energy(dis, cfg)
-    cache = energy_cache(dis, cfg)
-    e1, cache1 = energy_delta(dis, cfg, 4, cache)
-    e2, _ = energy_delta(dis, cfg.flip(4), 4, cache1)
+    e0 = dis.energy(cfg)
+    cache = _cache(dis, cfg)
+    e1, cache1 = dis.energy_delta(cfg, 4, cache)
+    e2, _ = dis.energy_delta(cfg.flip(4), 4, cache1)
     assert e2 == pytest.approx(e0, abs=1e-9)
-    assert e1 == pytest.approx(energy(dis, cfg.flip(4)), abs=1e-9)
+    assert e1 == pytest.approx(dis.energy(cfg.flip(4)), abs=1e-9)
 
 
 def test_energy_delta_long_run_agrees_with_full_recompute():
     dis = PSpinDisorder(12, 3, RngStream(31, 0), mode="dense")
     gen = RngStream(31, 1).generator()
     cfg = SpinConfig(12, 0)
-    cache = energy_cache(dis, cfg)
+    cache = _cache(dis, cfg)
     worst = 0.0
     for _ in range(1000):
         i = int(gen.integers(12))
-        e_inc, cache = energy_delta(dis, cfg, i, cache)
+        e_inc, cache = dis.energy_delta(cfg, i, cache)
         cfg = cfg.flip(i)
-        worst = max(worst, abs(e_inc - energy(dis, cfg)))
+        worst = max(worst, abs(e_inc - dis.energy(cfg)))
     assert worst < 1e-9
 
 
 def test_energy_delta_rejects_stale_cache():
     dis = PSpinDisorder(6, 3, RngStream(2, 2))
-    cache = energy_cache(dis, SpinConfig(6, 0))
+    cache = _cache(dis, SpinConfig(6, 0))
     with pytest.raises(ValueError, match="stale"):
-        energy_delta(dis, SpinConfig(6, 0b111), 1, cache)
+        dis.energy_delta(SpinConfig(6, 0b111), 1, cache)
 
 
 def test_rem_energy_repeatable_and_delta_consistent():
     dis = RemDisorder(16, RngStream(4, 4))
     cfg = SpinConfig(16, 0xBEEF & 0xFFFF)
-    assert energy(dis, cfg) == energy(dis, cfg)
-    cache = energy_cache(dis, cfg)
-    e1, _ = energy_delta(dis, cfg, 3, cache)
+    assert dis.energy(cfg) == dis.energy(cfg)
+    cache = _cache(dis, cfg)
+    e1, _ = dis.energy_delta(cfg, 3, cache)
     # the delta path and a fresh hash query are the same pure function
-    assert e1 == energy(dis, cfg.flip(3))
+    assert e1 == dis.energy(cfg.flip(3))
 
 
 def test_rem_distinct_sites_decorrelated():
@@ -116,7 +117,7 @@ def test_trajectory_energies_match_full_evaluation():
         es = trajectory_energies(dis, traj)
         assert es.shape == (51,)
         for k in (0, 1, 7, 23, 50):
-            assert es[k] == pytest.approx(energy(dis, traj.config_at(k)), abs=1e-9)
+            assert es[k] == pytest.approx(dis.energy(traj.config_at(k)), abs=1e-9)
 
 
 def test_trajectory_energies_rem_revisit():
