@@ -9,15 +9,18 @@ generalized arcsine law ``arcsine_cdf(alpha, t/(t+s))`` with
 
 Everything here runs at fixed finite N, so the estimators are Monte Carlo
 over fresh environments (and, optionally, over environments with a frozen
-jump chain). The REM kernel is fully vectorized: walks advance in chunks,
-site energies come from a counter-based hash so revisits see the same trap
-depth without storing the visited set, and each replica is retired as soon
-as both crossing times are known. The frozen-chain estimator runs the same
-batch code in shared-walk mode: one walk per group, broadcast against the
-group's per-replica traps and waits, with finished replicas retired as in
-the unfrozen kernel. Replica batches and frozen-chain groups each own their
-random streams and run on up to one thread per core, so the results do not
-depend on the core count.
+jump chain). One batch kernel serves the REM and the dense p-spin model,
+which in the source paper age alike: the walk, the clock and the crossing
+detection are shared, and only the site energies differ. REM energies come
+from a counter-based hash, so revisits see the same trap depth without
+storing the visited set; p-spin energies come from each replica's dense
+couplings (`PSpinDisorder.energy_of_bits`). Walks advance in chunks and
+each replica retires as soon as both crossing times are known. The
+frozen-chain estimator runs the same batch code in shared-walk mode: one
+walk per group, broadcast against the group's per-replica traps and waits.
+Replica batches and frozen-chain groups each own their random streams and
+run on up to one thread per core, so the results do not depend on the core
+count.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import ModelParams, RngStream, mix64_array, mix64_inplace
+from .hamiltonian import PSpinDisorder
 from .stable import arcsine_cdf
 
 __all__ = [
@@ -47,6 +51,9 @@ __all__ = [
 _EXCLUSION_BUDGET = 0.05
 
 _ONE = np.uint64(1)
+
+# replicas per batch job; a p-spin replica carries a dense coupling tensor
+_BATCH = {"rem": 1024, "pspin": 32}
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,15 @@ def _derive_keys(rng: RngStream, ids: np.ndarray) -> np.ndarray:
         return mix64_array(mix64_array(ids.astype(np.uint64)) + base)
 
 
+def _landscapes(params: ModelParams, mode: str, rng: RngStream, ids: np.ndarray):
+    """One environment per replica id: REM hash keys (uint64), or dense
+    p-spin disorders keyed by replica index (an object array)."""
+    if mode == "rem":
+        return _derive_keys(rng, ids)
+    return np.array([PSpinDisorder(params.N, params.p, rng.substream(int(i)), "dense")
+                     for i in ids], dtype=object)
+
+
 def _cpu_count() -> int:
     """Cores this process may run on: the size of the batch thread pool."""
     try:
@@ -162,6 +178,29 @@ def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
     np.bitwise_xor.accumulate(walk, axis=-1, out=walk)
 
 
+def _site_energies(
+    keys: np.ndarray, sites: np.ndarray, h: np.ndarray, out: np.ndarray
+) -> None:
+    """Energy of each row's landscape at that row's sites, into `out`.
+
+    A p-spin row is a disorder, evaluated at its own sites. A REM key gives
+    each (key, site) pair a bit-reproducible standard normal trap depth:
+    one SplitMix64 round (in the uint64 work array `h`) gives a 53-bit
+    uniform and the normal quantile turns it into the depth, several times
+    cheaper than a Box-Muller round per element at equal quality.
+    """
+    if keys.dtype == object:
+        for i, disorder in enumerate(keys):
+            out[i] = disorder.energy_of_bits(sites[i])
+        return
+    np.add(sites, keys[:, None], out=h)
+    mix64_inplace(h, out.view(np.uint64))
+    np.right_shift(h, np.uint64(11), out=h)
+    np.add(h, 0.5, out=out)
+    out *= 2.0**-53
+    ndtri(out, out=out)
+
+
 def _clock_series(
     keys: np.ndarray,
     sites: np.ndarray,
@@ -173,21 +212,12 @@ def _clock_series(
 ) -> np.ndarray:
     """Clock value after every step of one chunk, written into `out`.
 
-    Each (key, site) pair gets a bit-reproducible standard normal trap
-    depth: one SplitMix64 round gives a 53-bit uniform and the normal
-    quantile turns it into the depth, several times cheaper than a
-    Box-Muller round per element at equal statistical quality. The
-    exponential waits are drawn from `waits_gen` into `h` once the hash is
-    consumed. `h` (uint64) and `out` (float64) are work arrays of the
-    chunk's shape; the stages run in place, in the order of
-    ``clock + cumsum(waits * exp(root * depth))``.
+    The site energies come first (`_site_energies`); the exponential waits
+    are then drawn from `waits_gen` into `h`. `h` (uint64) and `out`
+    (float64) are work arrays of the chunk's shape; the stages run in
+    place, in the order of ``clock + cumsum(waits * exp(root * energy))``.
     """
-    np.add(sites, keys, out=h)
-    mix64_inplace(h, out.view(np.uint64))
-    np.right_shift(h, np.uint64(11), out=h)
-    np.add(h, 0.5, out=out)
-    out *= 2.0**-53
-    ndtri(out, out=out)
+    _site_energies(keys, sites, h, out)
     out *= root
     np.exp(out, out=out)
     out *= waits_gen.standard_exponential(out=h.view(np.float64))
@@ -197,7 +227,7 @@ def _clock_series(
 
 
 def _kernel_scales(params: ModelParams, t: float, s: float, chunk: int | None):
-    """(nu, chunk, targets, root) shared by the REM and frozen kernels."""
+    """(nu, chunk, targets, root) shared by the aging and frozen kernels."""
     nu = params.nu()
     if chunk is None:
         chunk = max(nu, (2048 // nu) * nu)
@@ -208,21 +238,24 @@ def _kernel_scales(params: ModelParams, t: float, s: float, chunk: int | None):
     return nu, chunk, targets, params.beta * math.sqrt(params.N)
 
 
-def _rem_kernel(
+def _aging_kernel(
     params: ModelParams,
     t: float,
     s: float,
     replicas: int,
     rng: RngStream,
     step_cap: int,
-    batch: int = 1024,
+    mode: str = "rem",
     chunk: int | None = None,
 ):
-    """Simulate `replicas` independent REM clocks up to the second crossing.
+    """Simulate `replicas` independent clocks up to the second crossing.
 
-    Replicas run in batches of `batch`, each with its own generator keyed
-    by its first replica, on up to one thread per core. A batch draws its
-    flips and waits from that one generator, flips first in every chunk.
+    Replica i's landscape comes from substream 1 of `rng`: a REM hash key,
+    or (mode "pspin") the dense `PSpinDisorder` on ``substream(1).
+    substream(i)``. Replicas run in batches of ``_BATCH[mode]``, each built
+    inside its job with its own generator keyed by its first replica, on up
+    to one thread per core. A batch draws its flips and waits from that one
+    generator, flips first in every chunk.
 
     Returns (dist, excluded, vstar, range_undetermined):
       dist       -- Hamming distance between the sites occupied at the two
@@ -232,20 +265,29 @@ def _rem_kernel(
                     NaN where no block boundary got that far in budget
       range_und  -- mask where vstar is NaN
     """
+    if mode == "pspin":
+        if params.N**params.p > 2_000_000:
+            raise ValueError("p-spin aging kernel needs a small dense tensor")
+        if params.beta <= 0.0:
+            raise ValueError("p-spin kernel needs beta > 0")
+    elif mode != "rem":
+        raise ValueError(f"unknown mode {mode!r}")
     nu, chunk, targets, root = _kernel_scales(params, t, s, chunk)
-    all_keys = _derive_keys(rng.substream(1), np.arange(replicas, dtype=np.uint64))
-    batch_rng = rng.substream(2)
-    jobs = []
-    for lo in range(0, replicas, batch):
+    batch = _BATCH[mode]
+    key_rng, batch_rng = rng.substream(1), rng.substream(2)
+
+    def job(lo: int):
+        ids = np.arange(lo, min(lo + batch, replicas), dtype=np.uint64)
         gen = batch_rng.substream(lo).generator()
-        jobs.append((all_keys[lo : lo + batch], gen, gen, params.N, nu, root,
-                     targets, step_cap, chunk))
-    parts = _run_jobs(_rem_batch, jobs)
+        return _aging_batch(_landscapes(params, mode, key_rng, ids), gen, gen,
+                            params.N, nu, root, targets, step_cap, chunk)
+
+    parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, batch)])
     dist, excluded, vstar = (np.concatenate(col) for col in zip(*parts))
     return dist, excluded, vstar, np.isnan(vstar)
 
 
-def _rem_batch(
+def _aging_batch(
     keys: np.ndarray,
     walk_gen: np.random.Generator,
     wait_gen: np.random.Generator,
@@ -257,9 +299,10 @@ def _rem_batch(
     chunk: int,
     shared_walk: bool = False,
 ):
-    """One batch of REM clocks: (dist, excluded, vstar) of its replicas.
+    """One batch of clocks: (dist, excluded, vstar) of its replicas.
 
-    `keys` holds the batch's per-replica environment keys. Each chunk draws
+    `keys` holds the batch's per-replica environments, one row each (see
+    `_landscapes`); retired replicas drop their rows. Each chunk draws
     its flips from `walk_gen`, then its waits from `wait_gen`, so the result
     depends on nothing outside the batch. With `shared_walk` every replica
     follows one jump chain (one walker row, broadcast against the key rows)
@@ -267,12 +310,11 @@ def _rem_batch(
     as soon as their second crossing is known, in either mode.
     """
     target1, target2 = targets
-    n = keys.size
+    n = keys.shape[0]
     dist = np.full(n, -1, dtype=np.int64)
     excluded = np.zeros(n, dtype=bool)
     vstar = np.full(n, np.nan)
     rows = np.arange(n)
-    keys = keys[:, None]
     # work arrays sized for the full batch; retired replicas shrink the view
     walk_buf = np.empty((1 if shared_walk else n, chunk + 1), dtype=np.uint64)
     hash_buf = np.empty((n, chunk), dtype=np.uint64)
@@ -359,7 +401,7 @@ def hamming_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a ^ b).astype(np.int64)
 
 
-def _frozen_rem_kernel(
+def _frozen_kernel(
     params: ModelParams,
     t: float,
     s: float,
@@ -371,10 +413,10 @@ def _frozen_rem_kernel(
 ):
     """REM kernel with the jump chain frozen within each group.
 
-    Each group is one shared-walk `_rem_batch`: its replicas follow the
+    Each group is one shared-walk REM `_aging_batch`: its replicas follow the
     walk drawn from substream 1 of the group's stream, while the traps
     (keys from substream 3) and the exponential marks (substream 2) are
-    per replica. Finished replicas retire, as in the REM kernel. Groups
+    per replica. Finished replicas retire, as in the aging kernel. Groups
     run on up to one thread per core. Returns a list of (dist, excluded)
     pairs, one per group.
     """
@@ -386,90 +428,16 @@ def _frozen_rem_kernel(
         jobs.append((_derive_keys(grng.substream(3), ids),
                      grng.substream(1).generator(), grng.substream(2).generator(),
                      params.N, nu, root, targets, step_cap, chunk, True))
-    return [(dist, excluded) for dist, excluded, _ in _run_jobs(_rem_batch, jobs)]
+    return [(dist, excluded) for dist, excluded, _ in _run_jobs(_aging_batch, jobs)]
 
 
-def _pspin_kernel(
-    params: ModelParams,
-    t: float,
-    s: float,
-    replicas: int,
-    rng: RngStream,
-    step_cap: int,
-    batch: int = 128,
-):
-    """p-spin version of the two-time kernel, dense tensors per replica.
-
-    Energies are recomputed from scratch each step with a batched einsum,
-    which caps the practical scale at roughly N <= 16, p <= 3. Returns the
-    same (dist, excluded, vstar, range_und) tuple as the REM kernel.
-    """
-    N, p = params.N, params.p
-    if N > 64:
-        raise ValueError("p-spin aging kernel packs sites into uint64")
-    if N**p > 2_000_000:
-        raise ValueError("p-spin aging kernel needs a small dense tensor")
-    nu = params.nu()
-    wall = math.exp(params.gamma * N)
-    target1 = t * wall
-    target2 = (t + s) * wall
-    root_scale = params.beta * math.sqrt(N) / N ** (p / 2.0)
-    one = np.uint64(1)
-
-    letters = "ijklmnoq"[:p]
-    subscripts = "b" + "".join(letters) + "," + ",".join("b" + c for c in letters) + "->b"
-
-    dist = np.full(replicas, -1, dtype=np.int64)
-    excluded = np.zeros(replicas, dtype=bool)
-    vstar = np.full(replicas, np.nan)
-
-    for lo in range(0, replicas, batch):
-        hi = min(lo + batch, replicas)
-        n = hi - lo
-        gen = rng.substream(2).substream(lo).generator()
-        coup = gen.standard_normal(size=(n,) + (N,) * p)
-
-        signs = np.ones((n, N))
-        bits = np.zeros(n, dtype=np.uint64)
-        clock = np.zeros(n)
-        site1 = np.zeros(n, dtype=np.uint64)
-        site2 = np.zeros(n, dtype=np.uint64)
-        have1 = np.zeros(n, dtype=bool)
-        have2 = np.zeros(n, dtype=bool)
-        have_v = np.zeros(n, dtype=bool)
-        vloc = np.full(n, np.nan)
-        arow = np.arange(n)
-
-        for step in range(step_cap):
-            energy = np.einsum(subscripts, coup, *([signs] * p)) * root_scale
-            waits = gen.standard_exponential(size=n)
-            clock = clock + waits * np.exp(energy)
-
-            fresh1 = ~have1 & (clock > target1)
-            site1[fresh1] = bits[fresh1]
-            have1 |= fresh1
-            fresh2 = ~have2 & (clock > target2)
-            site2[fresh2] = bits[fresh2]
-            have2 |= fresh2
-            if (step + 1) % nu == 0:
-                freshv = ~have_v & (clock > target1)
-                vloc[freshv] = clock[freshv]
-                have_v |= freshv
-            if have2.all():
-                break
-
-            flips = gen.integers(0, N, size=n)
-            signs[arow, flips] *= -1.0
-            bits = bits ^ (one << flips.astype(np.uint64))
-
-        rows = np.arange(lo, hi)
-        good = have2
-        d = hamming_u64(site1[good], site2[good])
-        dist[rows[good]] = d
-        excluded[rows[~good]] = True
-        vstar[rows] = vloc
-
-    return dist, excluded, vstar, np.isnan(vstar)
+def _binomial(indicator_valid: np.ndarray) -> tuple[float, float]:
+    # (mean, binomial stderr) of the resolved replicas' event indicators
+    n_valid = indicator_valid.size
+    if n_valid == 0:
+        return math.nan, math.nan
+    est = float(indicator_valid.mean())
+    return est, math.sqrt(max(est * (1.0 - est), 0.0) / n_valid)
 
 
 def _assemble(
@@ -478,17 +446,12 @@ def _assemble(
     s: float,
     epsilon: float,
     requested: int,
-    indicator_valid: np.ndarray,
+    est: float,
+    se: float,
     n_excluded: int,
     mode: str,
 ) -> AgingEstimate:
     pred, alpha = _arcsine_point(params, t, s)
-    n_valid = indicator_valid.size
-    if n_valid == 0:
-        est, se = math.nan, math.nan
-    else:
-        est = float(indicator_valid.mean())
-        se = math.sqrt(max(est * (1.0 - est), 0.0) / n_valid)
     return AgingEstimate(
         t=float(t),
         s=float(s),
@@ -535,22 +498,14 @@ def estimate_aging(
         rng = params.stream().substream(3)
 
     eps_list = [epsilon] if np.isscalar(epsilon) else list(epsilon)
-    if mode == "rem":
-        cap = _step_cap(params, t + s, step_cap_factor)
-        dist, excluded, _, _ = _rem_kernel(params, t, s, replicas, rng, cap)
-    elif mode == "pspin":
-        if params.beta <= 0.0:
-            raise ValueError("p-spin kernel needs beta > 0")
-        cap = _step_cap(params, t + s, step_cap_factor)
-        dist, excluded, _, _ = _pspin_kernel(params, t, s, replicas, rng, cap)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    cap = _step_cap(params, t + s, step_cap_factor)
+    dist, excluded, _, _ = _aging_kernel(params, t, s, replicas, rng, cap, mode)
 
     valid = dist[~excluded]
     out = [
         _assemble(
             params, t, s, e, replicas,
-            (valid <= e * params.N / 2.0), int(excluded.sum()), mode,
+            *_binomial(valid <= e * params.N / 2.0), int(excluded.sum()), mode,
         )
         for e in eps_list
     ]
@@ -582,7 +537,7 @@ def estimate_aging_frozen(
     if rng is None:
         rng = params.stream().substream(4)
     cap = _step_cap(params, t + s, step_cap_factor)
-    per_group = _frozen_rem_kernel(
+    per_group = _frozen_kernel(
         params, t, s, replicas_per_group, groups, rng, cap
     )
 
@@ -593,23 +548,10 @@ def estimate_aging_frozen(
         good = dist[~excluded]
         if good.size:
             means.append(float((good <= thresh).mean()))
-    pred, alpha = _arcsine_point(params, t, s)
-    requested = replicas_per_group * groups
     est = float(np.mean(means))
     se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-    return AgingEstimate(
-        t=float(t),
-        s=float(s),
-        epsilon=float(epsilon),
-        replicas=requested,
-        estimate=est,
-        stderr=se,
-        arcsine_prediction=pred,
-        alpha_used=alpha,
-        excluded=n_excluded,
-        non_conclusive=bool(n_excluded > _EXCLUSION_BUDGET * requested),
-        mode="rem-frozen",
-    )
+    return _assemble(params, t, s, epsilon, replicas_per_group * groups, est, se,
+                     n_excluded, "rem-frozen")
 
 
 def estimate_range_miss(
@@ -639,17 +581,13 @@ def estimate_range_miss(
     if rng is None:
         rng = params.stream().substream(5)
     cap = _step_cap(params, t + s, step_cap_factor)
-    if mode == "rem":
-        _, _, vstar, und = _rem_kernel(params, t, s, replicas, rng, cap)
-    elif mode == "pspin":
-        _, _, vstar, und = _pspin_kernel(params, t, s, replicas, rng, cap)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    _, _, vstar, und = _aging_kernel(params, t, s, replicas, rng, cap, mode)
 
     wall = math.exp(params.gamma * params.N)
     miss = vstar[~und] >= (t + s) * wall
     return _assemble(
-        params, t, s, math.nan, replicas, miss, int(und.sum()), mode + "-range"
+        params, t, s, math.nan, replicas, *_binomial(miss), int(und.sum()),
+        mode + "-range",
     )
 
 

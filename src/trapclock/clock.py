@@ -37,10 +37,12 @@ class ClockPath:
 
     log_values[k] = log S(k) (log_values[0] = -inf); values[k] = S(k) with
     inf where the linear domain overflows, in which case `overflowed` is set.
+    `log_incs[k]` is the log of the increment S(k+1) - S(k), as summed.
     """
 
     log_values: np.ndarray
     overflowed: bool
+    log_incs: np.ndarray
 
     @property
     def steps(self) -> int:
@@ -52,20 +54,14 @@ class ClockPath:
             return np.exp(self.log_values)
 
     def log_increments(self) -> np.ndarray:
-        out = np.empty(self.steps)
-        out[0] = self.log_values[1]
-        prev = self.log_values[1:-1]
-        nxt = self.log_values[2:]
-        # log(e^nxt - e^prev), stable since nxt >= prev
-        with np.errstate(divide="ignore"):
-            out[1:] = nxt + np.log1p(-np.exp(np.minimum(prev - nxt, 0.0)))
-        return out
+        return self.log_incs
 
 
 def clock_from_log_increments(log_incs: np.ndarray) -> ClockPath:
+    log_incs = np.asarray(log_incs, dtype=np.float64)
     log_values = np.concatenate(([-np.inf], log_cumsum_exp(log_incs)))
     overflowed = bool(log_values[-1] > 709.0)
-    return ClockPath(log_values, overflowed)
+    return ClockPath(log_values, overflowed, log_incs)
 
 
 def clock_from_energies(

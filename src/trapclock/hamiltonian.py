@@ -13,8 +13,11 @@ E[H(sigma) H(tau)] = overlap(sigma, tau)^p:
   vertex, realized as a pure hash of the configuration bits so no table of
   size 2^N exists anywhere.
 
-Both support O(p N^{p-1}) incremental updates along single-spin flips, which
-is what makes long walk trajectories affordable.
+Energies along a walk trajectory come in one pass for the REM (a hash per
+site) and for dense couplings: the visited configurations are unpacked into
+sign rows and contracted with the tensor in row blocks, as `energy_of_bits`
+does for any batch of configurations. Hashed couplings have no tensor, so
+they follow the walk by O(p N^{p-1}) incremental updates per spin flip.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .hypercube import SpinConfig, WalkTrajectory
 
 _DENSE_MAX_ENTRIES = 16_000_000
 _DENSE_DEFAULT_MAX_N = 25
+# floats in one row block of a many-configuration contraction
+_FOLD_FLOATS = 1 << 16
 
 
 class PSpinDisorder:
@@ -89,25 +94,52 @@ class PSpinDisorder:
         return gaussian_from_hash(self._key, flat)
 
     @staticmethod
-    def _fold(block: np.ndarray, signs: np.ndarray) -> float:
-        # contract every remaining axis with the sign vector
-        out = block
-        while out.ndim > 0:
-            out = out @ signs
-        return float(out)
+    def _fold(block: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Contract every axis of `block` with each column of `signs` (N, m):
+        one value per column."""
+        if block.ndim == 0:
+            return np.full(signs.shape[1], float(block))
+        N, m = signs.shape
+        out = block.reshape(-1, N) @ signs
+        for _ in range(block.ndim - 1):
+            out = np.einsum("aim,im->am", out.reshape(-1, N, m), signs)
+        return out[0]
 
     # -- energies -----------------------------------------------------------
 
     def energy(self, config: SpinConfig) -> float:
         self._check(config)
-        s = config.signs().astype(np.float64)
+        s = config.signs().astype(np.float64)[:, None]
         if self.mode == "dense":
-            return self._norm * self._fold(self.couplings, s)
+            return self._norm * float(self._fold(self.couplings, s)[0])
         # chunk over the first axis so memory stays at N^{p-1}
         total = 0.0
         for i in range(self.N):
-            total += s[i] * self._fold(self._block({0: i}), s)
+            total += s[i, 0] * float(self._fold(self._block({0: i}), s)[0])
         return self._norm * total
+
+    def energy_of_bits(self, bits) -> np.ndarray:
+        """Dense energies of configurations given as bit integers (N <= 64),
+        one per entry of `bits`."""
+        bits = np.asarray(bits, dtype="<u8")
+        packed = bits.reshape(-1, 1).view(np.uint8)
+        return self._energy_of_packed(packed).reshape(bits.shape)
+
+    def _energy_of_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Dense energies of rows of little-endian packed bits (bit i set:
+        spin i is -1), in row blocks of about _FOLD_FLOATS floats, one sign
+        column per row (BLAS runs several times slower on a transposed view)."""
+        if self.mode != "dense":
+            raise ValueError("many-configuration energies need dense couplings")
+        out = np.empty(packed.shape[0])
+        step = max(1, _FOLD_FLOATS // self.N ** (self.p - 1))
+        for lo in range(0, packed.shape[0], step):
+            bits = np.unpackbits(
+                packed[lo : lo + step], axis=1, count=self.N, bitorder="little"
+            )
+            signs = 1.0 - 2.0 * np.ascontiguousarray(bits.T)
+            out[lo : lo + step] = self._fold(self.couplings, signs)
+        return self._norm * out
 
     def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
         """Energy after flipping one spin, via the multilinear expansion in
@@ -116,13 +148,13 @@ class PSpinDisorder:
         _check_cache(cache, config)
         if not 0 <= flip_index < self.N:
             raise IndexError("flip index out of range")
-        s = config.signs().astype(np.float64)
-        step = -2.0 * s[flip_index]  # sigma'_f - sigma_f
+        s = config.signs().astype(np.float64)[:, None]
+        step = -2.0 * s[flip_index, 0]  # sigma'_f - sigma_f
         delta = 0.0
         for k in range(1, self.p + 1):
             for axes in combinations(range(self.p), k):
                 fixed = {a: flip_index for a in axes}
-                delta += step**k * self._fold(self._block(fixed), s)
+                delta += step**k * float(self._fold(self._block(fixed), s)[0])
         new_energy = cache["energy"] + self._norm * delta
         new_config = config.flip(flip_index)
         return new_energy, {"bits": new_config.bits, "energy": new_energy}
@@ -176,10 +208,13 @@ def _check_cache(cache: dict, config: SpinConfig):
 
 
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
-    """X(i) = H(Y(i)) along the trajectory, length k+1, incremental."""
+    """X(i) = H(Y(i)) along the trajectory, length k+1: one pass for REM and
+    dense disorders, incremental updates for hashed couplings."""
+    if disorder.N != traj.N:
+        raise ValueError("dimension mismatch")
+    if isinstance(disorder, PSpinDisorder) and disorder.mode == "dense":
+        return disorder._energy_of_packed(traj.position_bits())
     if isinstance(disorder, RemDisorder):
-        if disorder.N != traj.N:
-            raise ValueError("dimension mismatch")
         if disorder.N <= 64:
             bits = traj.position_bits()
             words = np.zeros((bits.shape[0], 8), dtype=np.uint8)

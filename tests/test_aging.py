@@ -16,11 +16,17 @@ from trapclock.aging import (
     estimate_range_miss,
     hamming_u64,
 )
+from trapclock.clock import simulate_clock
 from trapclock.core import ModelParams, RngStream, mix64_array
+from trapclock.hamiltonian import PSpinDisorder
+from trapclock.hypercube import SpinConfig
+from trapclock.stable import arcsine_cdf
 
 # alpha = gamma / beta^2 = 1/2; small enough that a few thousand replicas
 # run in about a second
 PARAMS = ModelParams(N=12, p=3, beta=2.0, gamma=2.0, horizon_T=2.0)
+# the aging CLI preset at its seed, alpha = 1/2, in p-spin mode
+PSPIN = ModelParams(N=10, p=3, beta=1.5, gamma=1.125, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -153,11 +159,13 @@ def test_range_miss_sits_below_two_time(sweep):
     assert abs(rm.estimate - rm.arcsine_prediction) < 0.2
 
 
-def test_pspin_mode_smoke():
-    params = ModelParams(N=8, p=3, beta=1.0, gamma=0.5, horizon_T=1.5)
-    est = estimate_aging(params, 0.5, 0.5, 0.5, 64, mode="pspin", rng=RngStream(41, 5))
+def test_pspin_preset_matches_arcsine():
+    est = estimate_aging(
+        PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin", rng=PSPIN.stream().substream(3)
+    )
     assert est.mode == "pspin"
-    assert 0.0 <= est.estimate <= 1.0
+    assert abs(est.estimate - float(arcsine_cdf(0.5, 0.5))) <= 4 * est.stderr
+    assert est.excluded <= 0.05 * est.replicas
 
 
 def test_pspin_mode_guards():
@@ -204,7 +212,7 @@ def test_chunk_stages_match_allocating_reference():
     root = 2.0 * math.sqrt(N)
     ref_gen = RngStream(41, 23).generator()
     gen = RngStream(41, 23).generator()
-    keys = aging._derive_keys(RngStream(41, 24), np.arange(n, dtype=np.uint64))[:, None]
+    keys = aging._derive_keys(RngStream(41, 24), np.arange(n, dtype=np.uint64))
     pos = np.random.default_rng(3).integers(0, 2**N, size=n, dtype=np.uint64)
     clock = np.linspace(0.0, 2.0, n)
 
@@ -212,7 +220,7 @@ def test_chunk_stages_match_allocating_reference():
     waits = ref_gen.standard_exponential(size=(n, chunk))
     pos_after = pos[:, None] ^ np.bitwise_xor.accumulate(np.uint64(1) << flips, axis=1)
     sites = np.concatenate([pos[:, None], pos_after[:, :-1]], axis=1)
-    u = ((mix64_array(sites + keys) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = ((mix64_array(sites + keys[:, None]) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     want = clock[:, None] + np.cumsum(waits * np.exp(root * ndtri(u)), axis=1)
 
     walk = np.empty((n, chunk + 1), dtype=np.uint64)
@@ -226,17 +234,42 @@ def test_chunk_stages_match_allocating_reference():
     assert np.array_equal(got, want)
 
 
+def test_pspin_chunk_stage_reads_each_rows_landscape():
+    # every row's energies come from its own disorder at its own sites,
+    # checked against one energy() call per site
+    n, chunk = 3, 40
+    root = PSPIN.beta * math.sqrt(PSPIN.N)
+    keys = aging._landscapes(PSPIN, "pspin", RngStream(41, 32), np.arange(n, dtype=np.uint64))
+    sites = np.random.default_rng(4).integers(0, 2**PSPIN.N, size=(n, chunk), dtype=np.uint64)
+    clock = np.array([0.0, 1.0, 2.0])
+    waits = RngStream(41, 33).generator().standard_exponential(size=(n, chunk))
+    energies = np.array(
+        [[d.energy(SpinConfig(PSPIN.N, int(b))) for b in row] for d, row in zip(keys, sites)]
+    )
+    want = clock[:, None] + np.cumsum(waits * np.exp(root * energies), axis=1)
+    got = aging._clock_series(
+        keys, sites, clock, root, RngStream(41, 33).generator(),
+        np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
-    # 2000 replicas are two 1024-replica batches; 12 frozen groups
+    # 2000 replicas are two 1024-replica batches; 12 frozen groups; 70
+    # p-spin replicas are three batches
     cap = aging._step_cap(PARAMS, 2.0, 8.0)
+    pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(aging, "_cpu_count", lambda w=workers: w)
-        rem = aging._rem_kernel(PARAMS, 1.0, 1.0, 2000, RngStream(41, 21), cap)
-        frozen = aging._frozen_rem_kernel(
+        rem = aging._aging_kernel(PARAMS, 1.0, 1.0, 2000, RngStream(41, 21), cap)
+        frozen = aging._frozen_kernel(
             PARAMS, 1.0, 1.0, 20, 12, RngStream(41, 22), cap
         )
-        arrays = [*rem, *(a for pair in frozen for a in pair)]
+        pspin = aging._aging_kernel(
+            PSPIN, 0.5, 0.5, 70, RngStream(41, 25), pspin_cap, "pspin"
+        )
+        arrays = [*rem, *(a for pair in frozen for a in pair), *pspin]
         runs.append([a.tobytes() for a in arrays])
     assert runs[0] == runs[1]
 
@@ -262,10 +295,48 @@ def test_shared_walk_batch_matches_per_replica_for_one_replica():
             runs = []
             for shared in (False, True):
                 stream = RngStream(41, 29).substream(i)
-                out = aging._rem_batch(
+                out = aging._aging_batch(
                     keys[i : i + 1], stream.substream(1).generator(),
                     stream.substream(2).generator(), PARAMS.N, nu, root, targets,
                     cap, chunk, shared,
                 )
                 runs.append([a.tobytes() for a in out])
             assert runs[0] == runs[1]
+
+
+def test_pspin_batch_matches_simulate_clock():
+    # one replica, flips and waits on separate generators: the kernel's
+    # crossing sites and block value are those of simulate_clock on the
+    # same dense landscape with the same streams
+    nu, chunk, targets, root = aging._kernel_scales(PSPIN, 0.2, 1.0, None)
+    dists = []
+    for i in range(6):
+        stream = RngStream(41, 30).substream(i)
+        disorder = PSpinDisorder(PSPIN.N, PSPIN.p, stream.substream(0), mode="dense")
+        keys = np.empty(1, dtype=object)
+        keys[0] = disorder
+        dist, excluded, vstar = aging._aging_batch(
+            keys, stream.substream(1).generator(), stream.substream(2).generator(),
+            PSPIN.N, nu, root, targets, chunk, chunk,
+        )
+        traj, clock, _ = simulate_clock(disorder, PSPIN, chunk, stream)
+        values = clock.values
+        k1, k2 = (int(np.argmax(values > target)) for target in targets)
+        assert not excluded[0] and 0 < k1 <= k2
+        bits = traj.position_bits()
+        assert dist[0] == np.bitwise_count(bits[k1 - 1] ^ bits[k2 - 1]).sum()
+        boundaries = values[nu::nu]
+        want = boundaries[np.argmax(boundaries > targets[0])]
+        assert vstar[0] == pytest.approx(want, rel=1e-9)
+        dists.append(int(dist[0]))
+    assert max(dists) > 0
+
+
+def test_pspin_landscapes_are_keyed_by_replica_index():
+    # replica i's couplings depend on i alone, not on its batch
+    ids = np.arange(30, 35, dtype=np.uint64)
+    got = aging._landscapes(PSPIN, "pspin", RngStream(41, 31), ids)
+    for i, disorder in zip(ids, got):
+        stream = RngStream(41, 31).substream(int(i))
+        want = PSpinDisorder(PSPIN.N, PSPIN.p, stream, mode="dense")
+        assert np.array_equal(disorder.couplings, want.couplings)

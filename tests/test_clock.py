@@ -210,8 +210,7 @@ def test_simulate_clock_stream_contract(kind):
     waits = rng.substream(2).generator().exponential(size=k)
     assert traj.flips == walk.flips
     assert np.array_equal(energies, trajectory_energies(dis, walk))
-    # rebuilding the clock from the reference waits gives the same bytes; a
-    # round trip through log_increments would lose digits to cancellation
+    # rebuilding the clock from the reference waits gives the same bytes
     want = clock_from_energies(energies[:-1], waits, params)
     assert clock.log_values.tobytes() == want.log_values.tobytes()
     traj2, clock2, energies2 = simulate_clock(dis, params, k, rng)
@@ -232,5 +231,19 @@ def test_clock_log_increments_round_trip():
     logs = np.array([-0.5, 1.25, 0.0])
     clock = clock_from_log_increments(logs)
     assert np.allclose(np.exp(clock.log_values[1:]), np.cumsum(np.exp(logs)))
-    assert np.allclose(clock.log_increments(), logs)
+    assert np.array_equal(clock.log_increments(), logs)
     assert clock.steps == 3
+
+
+def test_log_increments_recover_the_drawn_waits():
+    # 4000 steps: increments tiny against the running sum must still come
+    # back to the digit, so no reconstruction from log_values may cancel
+    params = _params()
+    k = 4000
+    rng = RngStream(12, 3)
+    dis = PSpinDisorder(16, 3, RngStream(12, 4), mode="dense")
+    _, clock, energies = simulate_clock(dis, params, k, rng)
+    waits = rng.substream(2).generator().exponential(size=k)
+    root = params.beta * math.sqrt(params.N)
+    got = np.exp(clock.log_increments() - root * energies[:-1])
+    np.testing.assert_allclose(got, waits, rtol=1e-12, atol=0.0)

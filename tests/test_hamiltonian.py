@@ -108,10 +108,37 @@ def test_rem_distinct_sites_decorrelated():
     assert pvalue > 0.01
 
 
-def test_trajectory_energies_match_full_evaluation():
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_energy_of_bits_matches_energy(p):
+    # 512 configurations span several row blocks at p = 4
+    dis = PSpinDisorder(9, p, RngStream(13, p), mode="dense")
+    bits = np.arange(512, dtype=np.uint64).reshape(16, 32)
+    es = dis.energy_of_bits(bits)
+    assert es.shape == bits.shape
+    want = [dis.energy(SpinConfig(9, int(b))) for b in bits.ravel()]
+    assert np.max(np.abs(es.ravel() - want)) < 1e-12
+
+
+def test_energy_of_bits_needs_dense_couplings():
+    dis = PSpinDisorder(8, 3, RngStream(13, 9), mode="hashed")
+    with pytest.raises(ValueError, match="dense"):
+        dis.energy_of_bits(np.arange(4, dtype=np.uint64))
+
+
+def test_dense_trajectory_energies_beyond_64_spins():
+    dis = PSpinDisorder(70, 2, RngStream(13, 5), mode="dense")
+    traj = sample_walk(70, 3000, RngStream(13, 6))
+    es = trajectory_energies(dis, traj)
+    assert es.shape == (3001,)
+    for k in (0, 1, 935, 936, 3000):  # rows 0-935 are the first block
+        assert es[k] == pytest.approx(dis.energy(traj.config_at(k)), abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["dense", "hashed"])
+def test_trajectory_energies_match_full_evaluation(mode):
     traj = sample_walk(8, 50, RngStream(3, 3))
     for dis in (
-        PSpinDisorder(8, 3, RngStream(12, 0)),
+        PSpinDisorder(8, 3, RngStream(12, 0), mode=mode),
         RemDisorder(8, RngStream(12, 1)),
     ):
         es = trajectory_energies(dis, traj)
