@@ -13,11 +13,11 @@ E[H(sigma) H(tau)] = overlap(sigma, tau)^p:
   vertex, realized as a pure hash of the configuration bits so no table of
   size 2^N exists anywhere.
 
-Energies along a walk trajectory come in one pass for the REM (a hash per
-site) and for dense couplings: the visited configurations are unpacked into
-sign rows and contracted with the tensor in row blocks, as `energy_of_bits`
-does for any batch of configurations. Hashed couplings have no tensor, so
-they follow the walk by O(p N^{p-1}) incremental updates per spin flip.
+Energies along a walk trajectory come in one pass: a hash per site for the
+REM, and for p-spin couplings the visited configurations are unpacked into
+sign rows and contracted in row blocks, as `energy_of_bits` does for any
+batch of configurations. Dense couplings contract the whole tensor; hashed
+couplings contract one first-index slab of N^{p-1} couplings at a time.
 """
 
 from __future__ import annotations
@@ -109,36 +109,38 @@ class PSpinDisorder:
 
     def energy(self, config: SpinConfig) -> float:
         self._check(config)
-        s = config.signs().astype(np.float64)[:, None]
-        if self.mode == "dense":
-            return self._norm * float(self._fold(self.couplings, s)[0])
-        # chunk over the first axis so memory stays at N^{p-1}
-        total = 0.0
-        for i in range(self.N):
-            total += s[i, 0] * float(self._fold(self._block({0: i}), s)[0])
-        return self._norm * total
+        packed = np.frombuffer(config.packed(), np.uint8)[None]
+        return float(self._energy_of_packed(packed)[0])
 
     def energy_of_bits(self, bits) -> np.ndarray:
-        """Dense energies of configurations given as bit integers (N <= 64),
-        one per entry of `bits`."""
+        """Energies of configurations given as bit integers (N <= 64), one
+        per entry of `bits`."""
         bits = np.asarray(bits, dtype="<u8")
         packed = bits.reshape(-1, 1).view(np.uint8)
         return self._energy_of_packed(packed).reshape(bits.shape)
 
     def _energy_of_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Dense energies of rows of little-endian packed bits (bit i set:
-        spin i is -1), in row blocks of about _FOLD_FLOATS floats, one sign
-        column per row (BLAS runs several times slower on a transposed view)."""
-        if self.mode != "dense":
-            raise ValueError("many-configuration energies need dense couplings")
+        """Energies of rows of little-endian packed bits (bit i set: spin i
+        is -1), one sign column per row (BLAS runs several times slower on a
+        transposed view). Hashed couplings sum signs[i] times the contracted
+        slab of first index i, so memory stays at N^{p-1}. Row blocks keep
+        the sign block and the first fold product near _FOLD_FLOATS floats;
+        a slab has one axis fewer than the tensor."""
         out = np.empty(packed.shape[0])
-        step = max(1, _FOLD_FLOATS // self.N ** (self.p - 1))
+        axes = self.p - (self.mode == "hashed")
+        step = max(1, _FOLD_FLOATS // max(self.N, self.N ** (axes - 1)))
         for lo in range(0, packed.shape[0], step):
             bits = np.unpackbits(
                 packed[lo : lo + step], axis=1, count=self.N, bitorder="little"
             )
             signs = 1.0 - 2.0 * np.ascontiguousarray(bits.T)
-            out[lo : lo + step] = self._fold(self.couplings, signs)
+            if self.mode == "dense":
+                out[lo : lo + step] = self._fold(self.couplings, signs)
+            else:
+                out[lo : lo + step] = sum(
+                    signs[i] * self._fold(self._block({0: i}), signs)
+                    for i in range(self.N)
+                )
         return self._norm * out
 
     def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
@@ -208,28 +210,18 @@ def _check_cache(cache: dict, config: SpinConfig):
 
 
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
-    """X(i) = H(Y(i)) along the trajectory, length k+1: one pass for REM and
-    dense disorders, incremental updates for hashed couplings."""
+    """X(i) = H(Y(i)) along the trajectory, length k+1, in one pass: a hash
+    per site for the REM, a row-blocked contraction for p-spin couplings."""
     if disorder.N != traj.N:
         raise ValueError("dimension mismatch")
-    if isinstance(disorder, PSpinDisorder) and disorder.mode == "dense":
+    if isinstance(disorder, PSpinDisorder):
         return disorder._energy_of_packed(traj.position_bits())
-    if isinstance(disorder, RemDisorder):
-        if disorder.N <= 64:
-            bits = traj.position_bits()
-            words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
-            words[:, : bits.shape[1]] = bits
-            return disorder.energy_of_bits(words.view("<u8").ravel())
-        return np.array([disorder.energy(c) for c in traj.positions()])
-    out = np.empty(traj.length + 1)
-    config = traj.start
-    cache = {"bits": config.bits, "energy": disorder.energy(config)}
-    out[0] = cache["energy"]
-    for i, f in enumerate(traj.flips):
-        e, cache = disorder.energy_delta(config, f, cache)
-        config = config.flip(f)
-        out[i + 1] = e
-    return out
+    if disorder.N <= 64:
+        bits = traj.position_bits()
+        words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+        words[:, : bits.shape[1]] = bits
+        return disorder.energy_of_bits(words.view("<u8").ravel())
+    return np.array([disorder.energy(c) for c in traj.positions()])
 
 
 def overlap_matrix(traj: WalkTrajectory) -> np.ndarray:

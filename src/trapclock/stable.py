@@ -4,9 +4,7 @@ range-miss probability that drives the aging predictions.
 Increments are sampled exactly (no Euler bias) with Kanter's
 exponential-uniform representation of the one-sided stable law, normalized so
 E exp(-lambda V(t)) = exp(-K t lambda^alpha). The arcsine CDF is the
-regularized incomplete beta I_x(alpha, 1-alpha), evaluated here by a
-continued fraction so the library does not depend on scipy for it (scipy
-serves as an independent oracle in the tests).
+regularized incomplete beta I_x(alpha, 1-alpha).
 
 The range-miss estimator answers: does the closure of {V(u)} intersect the
 window (t, t+s)? Since V is increasing, that reduces to the value at first
@@ -22,11 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .core import as_generator
-
-_BETA_MAX_ITER = 300
-_BETA_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -98,70 +94,15 @@ def sample_subordinator(alpha: float, K: float, grid, rng) -> SubordinatorPath:
 # ---------------------------------------------------------------------------
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise RuntimeError(f"incomplete beta failed to converge at a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x < 0.0 or x > 1.0:
-        raise ValueError("x must lie in [0,1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
 def arcsine_cdf(alpha: float, x) -> float | np.ndarray:
     """P[last zero / occupation functional <= x] = I_x(alpha, 1 - alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if np.ndim(x) == 0:
-        return regularized_incomplete_beta(alpha, 1.0 - alpha, float(x))
-    return np.array(
-        [regularized_incomplete_beta(alpha, 1.0 - alpha, float(v)) for v in np.ravel(x)]
-    ).reshape(np.shape(x))
+    x = np.asarray(x, dtype=np.float64)
+    if np.any((x < 0.0) | (x > 1.0)):
+        raise ValueError("x must lie in [0,1]")
+    out = scipy.special.betainc(alpha, 1.0 - alpha, x)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_criterion_4_energy_covariance_is_overlap_power():
 
     N = 6, p = 3: all 64 configurations are visited along one Gray-code
     trajectory per disorder draw (each flip changes one coordinate, so the
-    incremental energy path covers the cube exactly once). 1e4 draws; every
+    walk's energies cover the cube exactly once). 1e4 draws; every
     configuration pair must match (1 - 2 d/N)^p within 4 standard errors.
     Budget: 2 minutes.
     """

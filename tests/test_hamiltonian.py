@@ -110,28 +110,48 @@ def test_rem_distinct_sites_decorrelated():
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_energy_of_bits_matches_energy(p):
-    # 512 configurations span several row blocks at p = 4
-    dis = PSpinDisorder(9, p, RngStream(13, p), mode="dense")
+    # 512 configurations span several row blocks at p = 4 (dense)
     bits = np.arange(512, dtype=np.uint64).reshape(16, 32)
-    es = dis.energy_of_bits(bits)
-    assert es.shape == bits.shape
-    want = [dis.energy(SpinConfig(9, int(b))) for b in bits.ravel()]
-    assert np.max(np.abs(es.ravel() - want)) < 1e-12
+    for mode in ("dense", "hashed"):
+        dis = PSpinDisorder(9, p, RngStream(13, p), mode=mode)
+        es = dis.energy_of_bits(bits)
+        assert es.shape == bits.shape
+        want = [dis.energy(SpinConfig(9, int(b))) for b in bits.ravel()]
+        assert np.max(np.abs(es.ravel() - want)) < 1e-12
 
 
-def test_energy_of_bits_needs_dense_couplings():
-    dis = PSpinDisorder(8, 3, RngStream(13, 9), mode="hashed")
-    with pytest.raises(ValueError, match="dense"):
-        dis.energy_of_bits(np.arange(4, dtype=np.uint64))
-
-
-def test_dense_trajectory_energies_beyond_64_spins():
-    dis = PSpinDisorder(70, 2, RngStream(13, 5), mode="dense")
+@pytest.mark.parametrize("mode", ["dense", "hashed"])
+def test_pspin_trajectory_energies_beyond_64_spins(mode):
+    dis = PSpinDisorder(70, 2, RngStream(13, 5), mode=mode)
     traj = sample_walk(70, 3000, RngStream(13, 6))
     es = trajectory_energies(dis, traj)
     assert es.shape == (3001,)
     for k in (0, 1, 935, 936, 3000):  # rows 0-935 are the first block
         assert es[k] == pytest.approx(dis.energy(traj.config_at(k)), abs=1e-12)
+
+
+@pytest.mark.parametrize("N, p, steps", [(30, 3, 5000), (9, 4, 3000), (70, 2, 3000)])
+def test_dense_and_hashed_trajectory_energies_agree(N, p, steps):
+    """The same couplings, stored or hashed, give the same walk energies;
+    each walk spans at least three hashed row blocks."""
+    hashed = PSpinDisorder(N, p, RngStream(21, p), mode="hashed")
+    dense = PSpinDisorder(N, p, RngStream(21, p), mode="dense")
+    dense.couplings = hashed._block({})
+    traj = sample_walk(N, steps, RngStream(22, N))
+    es = trajectory_energies(hashed, traj)
+    assert np.max(np.abs(es - trajectory_energies(dense, traj))) < 1e-12
+
+
+def test_rem_trajectory_energies_beyond_64_spins():
+    # spins 64 and above live in the second word of the folded hash key
+    traj = sample_walk(70, 200, RngStream(23, 1))
+    dis = RemDisorder(70, RngStream(23, 2))
+    es = trajectory_energies(dis, traj)
+    assert es.shape == (201,)
+    assert list(es) == [dis.energy(c) for c in traj.positions()]
+    es = trajectory_energies(dis, WalkTrajectory(SpinConfig(70, 0), (66, 66, 3, 3)))
+    assert es[0] == es[2] == es[4]
+    assert es[1] != es[0]
 
 
 @pytest.mark.parametrize("mode", ["dense", "hashed"])
