@@ -12,15 +12,15 @@ over fresh environments (and, optionally, over environments with a frozen
 jump chain). One batch kernel serves the REM and the dense p-spin model,
 which in the source paper age alike: the walk, the clock and the crossing
 detection are shared, and only the site energies differ. REM energies come
-from a counter-based hash, so revisits see the same trap depth without
-storing the visited set; p-spin energies come from each replica's dense
-couplings (`PSpinDisorder.energy_of_bits`). Walks advance in chunks and
-each replica retires as soon as both crossing times are known. The
-frozen-chain estimator runs the same batch code in shared-walk mode: one
-walk per group, broadcast against the group's per-replica traps and waits.
-Replica batches and frozen-chain groups each own their random streams and
-run on up to one thread per core, so the results do not depend on the core
-count.
+from the counter-based hash of `RemDisorder`, so revisits see the same trap
+depth without storing the visited set; p-spin energies come from each
+replica's dense couplings (`PSpinDisorder.energy_of_bits`). Walks advance
+in chunks and each replica retires as soon as both crossing times are
+known. The frozen-chain estimator runs the same batch code in shared-walk
+mode: one walk per group, broadcast against the group's per-replica traps
+and waits. Replica batches and frozen-chain groups each own their random
+streams and run on up to one thread per core, so the results do not depend
+on the core count.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
-from .core import ModelParams, RngStream, mix64_array, mix64_inplace
+from .core import ModelParams, RngStream, gaussian_from_sum, mix64_array
 from .hamiltonian import PSpinDisorder
 from .stable import arcsine_cdf
 
@@ -78,21 +77,6 @@ class AgingEstimate:
     excluded: int = 0
     non_conclusive: bool = False
     mode: str = "rem"
-
-    def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "s": self.s,
-            "epsilon": self.epsilon,
-            "replicas": self.replicas,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "arcsine_prediction": self.arcsine_prediction,
-            "alpha_used": self.alpha_used,
-            "excluded": self.excluded,
-            "non_conclusive": self.non_conclusive,
-            "mode": self.mode,
-        }
 
 
 def _arcsine_point(params: ModelParams, t: float, s: float) -> tuple[float, float]:
@@ -184,21 +168,16 @@ def _site_energies(
     """Energy of each row's landscape at that row's sites, into `out`.
 
     A p-spin row is a disorder, evaluated at its own sites. A REM key gives
-    each (key, site) pair a bit-reproducible standard normal trap depth:
-    one SplitMix64 round (in the uint64 work array `h`) gives a 53-bit
-    uniform and the normal quantile turns it into the depth, several times
-    cheaper than a Box-Muller round per element at equal quality.
+    site x the trap depth ``gaussian_from_hash(key, x)``, the energy a
+    `RemDisorder` with that key assigns to x; it is computed in place, with
+    the uint64 work array `h` holding key + site.
     """
     if keys.dtype == object:
         for i, disorder in enumerate(keys):
             out[i] = disorder.energy_of_bits(sites[i])
         return
     np.add(sites, keys[:, None], out=h)
-    mix64_inplace(h, out.view(np.uint64))
-    np.right_shift(h, np.uint64(11), out=h)
-    np.add(h, 0.5, out=out)
-    out *= 2.0**-53
-    ndtri(out, out=out)
+    gaussian_from_sum(h, out)
 
 
 def _clock_series(

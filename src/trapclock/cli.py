@@ -15,6 +15,7 @@ step-work budget and was refused before burning CPU).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -239,7 +240,7 @@ def _cmd_aging(args) -> int:
     )
     out = _out_dir(args)
     _write_config(args, out, "aging")
-    _dump_json(out / "aging.json", est.as_dict())
+    _dump_json(out / "aging.json", dataclasses.asdict(est))
     if args.curve_points > 0:
         ratios = [
             (i + 1) / (args.curve_points + 1) for i in range(args.curve_points)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,26 +70,41 @@ def mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
+def gaussian_from_sum(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Standard normals from uint64 hash inputs `h`, written into `out`.
+
+    One SplitMix64 round turns each input into 64 random bits; the top 53
+    give a uniform offset by half a unit, so it lies strictly inside (0, 1),
+    and the normal quantile `ndtri` maps it to a standard normal. `out` is
+    a float64 array of h's shape and doubles as the round's work array; `h`
+    is overwritten. Returns `out`. This is the in-place body of
+    :func:`gaussian_from_hash`, for callers that hold their own buffers.
+    """
+    mix64_inplace(h, out.view(np.uint64))
+    np.right_shift(h, np.uint64(11), out=h)
+    np.add(h, 0.5, out=out)
+    out *= 2.0**-53
+    return ndtri(out, out=out)
+
+
 def gaussian_from_hash(key, index) -> np.ndarray:
     """Standard normal as a pure function of (key, index).
 
-    Two SplitMix64 rounds give two 64-bit words per index; Box-Muller turns
-    them into one gaussian. Repeated queries of the same (key, index) are
-    bit-identical, distinct indices are independent for statistical purposes.
-    `key` may be a scalar or an array broadcastable against `index`.
+    The input of :func:`gaussian_from_sum` is ``index + key`` (mod 2**64),
+    in a fresh array, so `index` is never written. Repeated queries of the
+    same (key, index) are bit-identical, distinct indices are independent
+    for statistical purposes. `key` may be a scalar or an array
+    broadcastable against `index`; a 0-d `index` and scalar key give a 0-d
+    array.
     """
     idx = np.asarray(index, dtype=np.uint64)
     if isinstance(key, (int, np.integer)):
         key = np.uint64(int(key) & _MASK64)
     else:
         key = np.asarray(key, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h1 = mix64_array(idx + key)
-    h2 = mix64_array(h1 ^ np.uint64(_GOLDEN))
-    # 53-bit mantissa uniforms, offset so u1 > 0
-    u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    u2 = (h2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    h = np.empty(np.broadcast_shapes(idx.shape, np.shape(key)), dtype=np.uint64)
+    np.add(idx, key, out=h)
+    return gaussian_from_sum(h, np.empty(h.shape))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ E[H(sigma) H(tau)] = overlap(sigma, tau)^p:
   vertex, realized as a pure hash of the configuration bits so no table of
   size 2^N exists anywhere.
 
-Energies along a walk trajectory come in one pass: a hash per site for the
-REM, and for p-spin couplings the visited configurations are unpacked into
-sign rows and contracted in row blocks, as `energy_of_bits` does for any
-batch of configurations. Dense couplings contract the whole tensor; hashed
-couplings contract one first-index slab of N^{p-1} couplings at a time.
+Both evaluate rows of packed configuration bits with one method,
+`_energy_of_packed`, for every N, so energies along a walk trajectory come
+in one pass. The REM folds each row's high words into the key and hashes
+the low word. For p-spin couplings the rows are unpacked into sign columns
+and contracted in row blocks: dense couplings contract the whole tensor,
+hashed couplings one first-index slab of N^{p-1} couplings at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import RngStream, gaussian_from_hash, mix64
+from .core import RngStream, gaussian_from_hash, mix64_array
 from .hypercube import SpinConfig, WalkTrajectory
 
 _DENSE_MAX_ENTRIES = 16_000_000
@@ -167,7 +168,14 @@ class PSpinDisorder:
 
 
 class RemDisorder:
-    """I.i.d. standard normal per vertex, as a pure function of the bits."""
+    """I.i.d. standard normal per vertex, as a pure function of the bits.
+
+    The packed bits of a configuration, read as little-endian 64-bit words
+    w_0 ... w_{W-1}, fold into the key as key = mix64(key ^ mix64(w_j)) for
+    j >= 1, and the energy is ``gaussian_from_hash(key, w_0)``. For N <= 64
+    that is ``gaussian_from_hash(key, bits)``, the trap depth the aging
+    kernel draws for the same key.
+    """
 
     def __init__(self, N: int, stream: RngStream):
         if N < 1:
@@ -180,22 +188,23 @@ class RemDisorder:
     def from_seed(cls, seed: int, N: int) -> "RemDisorder":
         return cls(N, RngStream(seed, 102))
 
-    def energy_of_bits(self, bits) -> np.ndarray:
-        """Vectorized energy lookup for configurations given as bit integers
-        (valid whenever N <= 64; larger N folds the words, see energy)."""
-        return gaussian_from_hash(self._key, np.asarray(bits, dtype=np.uint64))
-
     def energy(self, config: SpinConfig) -> float:
         if config.N != self.N:
             raise ValueError("configuration dimension mismatch")
-        if self.N <= 64:
-            return float(self.energy_of_bits(config.bits))
-        key = self._key
-        b = config.bits
-        while b:
-            key = mix64((key ^ mix64(b & ((1 << 64) - 1))) & ((1 << 64) - 1))
-            b >>= 64
-        return float(gaussian_from_hash(key, np.uint64(0)))
+        packed = np.frombuffer(config.packed(), np.uint8)[None]
+        return float(self._energy_of_packed(packed)[0])
+
+    def _energy_of_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Energies of rows of little-endian packed bits, one per row; each
+        fold step runs on one word column of all rows at once."""
+        rows, nbytes = packed.shape
+        words = np.zeros((rows, 8 * ((nbytes + 7) // 8)), dtype=np.uint8)
+        words[:, :nbytes] = packed
+        words = words.view("<u8")
+        key = np.uint64(self._key)
+        for j in range(1, words.shape[1]):
+            key = mix64_array(key ^ mix64_array(words[:, j]))
+        return gaussian_from_hash(key, words[:, 0])
 
     def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
         _check_cache(cache, config)
@@ -210,18 +219,12 @@ def _check_cache(cache: dict, config: SpinConfig):
 
 
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
-    """X(i) = H(Y(i)) along the trajectory, length k+1, in one pass: a hash
-    per site for the REM, a row-blocked contraction for p-spin couplings."""
+    """X(i) = H(Y(i)) along the trajectory, length k+1, in one pass over the
+    packed visited configurations: a hash per site for the REM, a
+    row-blocked contraction for p-spin couplings."""
     if disorder.N != traj.N:
         raise ValueError("dimension mismatch")
-    if isinstance(disorder, PSpinDisorder):
-        return disorder._energy_of_packed(traj.position_bits())
-    if disorder.N <= 64:
-        bits = traj.position_bits()
-        words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
-        words[:, : bits.shape[1]] = bits
-        return disorder.energy_of_bits(words.view("<u8").ravel())
-    return np.array([disorder.energy(c) for c in traj.positions()])
+    return disorder._energy_of_packed(traj.position_bits())
 
 
 def overlap_matrix(traj: WalkTrajectory) -> np.ndarray:

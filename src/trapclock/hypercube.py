@@ -330,25 +330,21 @@ def return_statistic_rho(
     return est, se
 
 
-def pair_distance_counts(
-    traj: WalkTrajectory, nu: int, cap: int = 10_000, incremental: bool = False
-) -> np.ndarray:
+def pair_distance_counts(traj: WalkTrajectory, nu: int, cap: int = 10_000) -> np.ndarray:
     """Counts of vertex pairs (i < j) at each Hamming distance d, split by
     block membership.
 
     Returns an (N+1, 2) integer array: column 0 counts pairs whose indices
     fall in different length-nu blocks, column 1 pairs in the same block.
-    The computation is quadratic in the trajectory length; lengths above
-    `cap` require incremental=True as an explicit opt-in. The packed-bit
-    representation keeps memory at (k+1)*ceil(N/8) bytes either way.
+    The computation is quadratic in the trajectory length, so lengths above
+    `cap` are refused unless the caller raises `cap`. The packed-bit
+    representation keeps memory at (k+1)*ceil(N/8) bytes.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     k = traj.length
-    if k > cap and not incremental:
-        raise ValueError(
-            f"trajectory length {k} exceeds cap {cap}; pass incremental=True"
-        )
+    if k > cap:
+        raise ValueError(f"trajectory length {k} exceeds cap {cap}; pass a larger cap")
     N = traj.N
     counts = np.zeros((N + 1, 2), dtype=np.int64)
     bits = traj.position_bits()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import threading
@@ -18,7 +19,7 @@ from trapclock.aging import (
 )
 from trapclock.clock import simulate_clock
 from trapclock.core import ModelParams, RngStream, mix64_array
-from trapclock.hamiltonian import PSpinDisorder
+from trapclock.hamiltonian import PSpinDisorder, RemDisorder
 from trapclock.hypercube import SpinConfig
 from trapclock.stable import arcsine_cdf
 
@@ -304,32 +305,63 @@ def test_shared_walk_batch_matches_per_replica_for_one_replica():
             assert runs[0] == runs[1]
 
 
-def test_pspin_batch_matches_simulate_clock():
+def _batch_distance_matching_simulate_clock(params, keys, disorder, stream, chunks):
     # one replica, flips and waits on separate generators: the kernel's
-    # crossing sites and block value are those of simulate_clock on the
-    # same dense landscape with the same streams
-    nu, chunk, targets, root = aging._kernel_scales(PSPIN, 0.2, 1.0, None)
+    # crossing sites and block value must be those of simulate_clock on the
+    # same landscape with the same streams; returns the crossing distance
+    nu, chunk, targets, root = aging._kernel_scales(params, 0.2, 1.0, None)
+    dist, excluded, vstar = aging._aging_batch(
+        keys, stream.substream(1).generator(), stream.substream(2).generator(),
+        params.N, nu, root, targets, chunks * chunk, chunk,
+    )
+    traj, clock, _ = simulate_clock(disorder, params, chunks * chunk, stream)
+    values = clock.values
+    k1, k2 = (int(np.argmax(values > target)) for target in targets)
+    assert not excluded[0] and 0 < k1 <= k2
+    bits = traj.position_bits()
+    assert dist[0] == np.bitwise_count(bits[k1 - 1] ^ bits[k2 - 1]).sum()
+    boundaries = values[nu::nu]
+    want = boundaries[np.argmax(boundaries > targets[0])]
+    assert vstar[0] == pytest.approx(want, rel=1e-9)
+    return int(dist[0])
+
+
+def test_pspin_batch_matches_simulate_clock():
+    # one chunk on each replica's dense landscape
     dists = []
     for i in range(6):
         stream = RngStream(41, 30).substream(i)
         disorder = PSpinDisorder(PSPIN.N, PSPIN.p, stream.substream(0), mode="dense")
         keys = np.empty(1, dtype=object)
         keys[0] = disorder
-        dist, excluded, vstar = aging._aging_batch(
-            keys, stream.substream(1).generator(), stream.substream(2).generator(),
-            PSPIN.N, nu, root, targets, chunk, chunk,
-        )
-        traj, clock, _ = simulate_clock(disorder, PSPIN, chunk, stream)
-        values = clock.values
-        k1, k2 = (int(np.argmax(values > target)) for target in targets)
-        assert not excluded[0] and 0 < k1 <= k2
-        bits = traj.position_bits()
-        assert dist[0] == np.bitwise_count(bits[k1 - 1] ^ bits[k2 - 1]).sum()
-        boundaries = values[nu::nu]
-        want = boundaries[np.argmax(boundaries > targets[0])]
-        assert vstar[0] == pytest.approx(want, rel=1e-9)
-        dists.append(int(dist[0]))
+        dists.append(_batch_distance_matching_simulate_clock(PSPIN, keys, disorder, stream, 1))
     assert max(dists) > 0
+
+
+def test_rem_batch_matches_simulate_clock():
+    # a RemDisorder holding the kernel's key sees the kernel's landscape;
+    # up to 32 chunks per replica
+    keys = aging._derive_keys(RngStream(41, 34), np.arange(6, dtype=np.uint64))
+    dists = []
+    for i in range(6):
+        stream = RngStream(41, 35).substream(i)
+        disorder = RemDisorder(PARAMS.N, stream.substream(0))
+        disorder._key = int(keys[i])
+        dists.append(
+            _batch_distance_matching_simulate_clock(PARAMS, keys[i : i + 1], disorder, stream, 32)
+        )
+    assert max(dists) > 0
+
+
+def test_rem_stream_is_pinned():
+    # SHA-256 of the integer outputs of a fixed aging and frozen run; a
+    # change that alters the REM aging stream on purpose updates the digest
+    cap = aging._step_cap(PARAMS, 2.0, 8.0)
+    dist, excluded, _, _ = aging._aging_kernel(PARAMS, 1, 1, 300, RngStream(41, 40), cap)
+    frozen = aging._frozen_kernel(PARAMS, 1, 1, 20, 3, RngStream(41, 41), cap)
+    arrays = [dist, excluded, *(a for pair in frozen for a in pair)]
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "8ce28190af558db1ed0bc8feb71586e74deef22913309a52325ec8f13d3810a0"
 
 
 def test_pspin_landscapes_are_keyed_by_replica_index():

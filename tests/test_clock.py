@@ -131,9 +131,10 @@ def test_coarse_grain_gap_is_the_sup_distance():
     bar = rescale_clock(clock, params)
     tilde = coarse_grain_clock(clock, params)
     rate = math.sqrt(params.N) * math.exp(params.N * params.gamma**2 / (2 * params.beta**2))
-    # sampling just below each step boundary realizes the sup exactly
+    # sampling just below each step boundary realizes the sup exactly; the
+    # horizon itself reads the last step index the gap covers
     ts = (np.arange(1, clock.steps + 1) - 1e-9) / rate
-    ts = ts[ts <= 1.0]
+    ts = np.append(ts[ts <= 1.0], params.horizon_T)
     dense_sup = np.max(bar.value_at(ts) - tilde.value_at(ts))
     assert gap == pytest.approx(dense_sup, rel=1e-9)
     assert gap >= 0.0

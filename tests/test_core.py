@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from trapclock.core import (
     ModelParams,
@@ -152,6 +153,26 @@ def test_gaussian_from_hash_scalar_vs_array_key():
     idx = np.arange(10, dtype=np.uint64)
     keys = np.full(10, 77, dtype=np.uint64)
     assert np.array_equal(gaussian_from_hash(77, idx), gaussian_from_hash(keys, idx))
+
+
+def _gaussian_reference(key, index):
+    # one SplitMix64 round of index + key, a 53-bit uniform offset by half a
+    # unit, and the normal quantile
+    with np.errstate(over="ignore"):
+        h = mix64_array(np.asarray(index, dtype=np.uint64) + np.asarray(key, dtype=np.uint64))
+    return ndtri(((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
+def test_gaussian_from_hash_matches_reference_formula():
+    idx = np.array([0, 1, 5, 1 << 40, (1 << 63) + 3, _MASK], dtype=np.uint64)
+    before = idx.copy()
+    keys = np.array([0, 9, 1 << 62, _MASK, 77, 5], dtype=np.uint64)
+    assert np.array_equal(gaussian_from_hash(12345, idx), _gaussian_reference(12345, idx))
+    assert np.array_equal(gaussian_from_hash(keys, idx), _gaussian_reference(keys, idx))
+    assert np.array_equal(idx, before)
+    scalar = gaussian_from_hash(_MASK, np.uint64(7))
+    assert scalar.shape == ()
+    assert float(scalar) == float(_gaussian_reference(_MASK, 7))
 
 
 def test_gaussian_from_hash_is_standard_normal():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import ndtri
 
-from trapclock.core import RngStream
+from trapclock.core import RngStream, mix64
 from trapclock.hamiltonian import (
     PSpinDisorder,
     RemDisorder,
@@ -13,6 +14,8 @@ from trapclock.hamiltonian import (
     trajectory_energies,
 )
 from trapclock.hypercube import SpinConfig, WalkTrajectory, overlap, sample_walk
+
+_MASK = (1 << 64) - 1
 
 
 def _cache(disorder, config):
@@ -103,7 +106,7 @@ def test_rem_energy_repeatable_and_delta_consistent():
 
 def test_rem_distinct_sites_decorrelated():
     dis = RemDisorder(20, RngStream(6, 0))
-    vals = np.array([dis.energy_of_bits(b) for b in range(2000)])
+    vals = np.array([dis.energy(SpinConfig(20, b)) for b in range(2000)])
     _, pvalue = scipy.stats.kstest(vals, "norm")
     assert pvalue > 0.01
 
@@ -140,6 +143,26 @@ def test_dense_and_hashed_trajectory_energies_agree(N, p, steps):
     traj = sample_walk(N, steps, RngStream(22, N))
     es = trajectory_energies(hashed, traj)
     assert np.max(np.abs(es - trajectory_energies(dense, traj))) < 1e-12
+
+
+def _rem_reference_energy(dis, bits):
+    # the REM rule on python ints: words 1, 2, ... fold into the key, then
+    # one SplitMix64 round of word 0 + key, a 53-bit uniform and its quantile
+    words = [(bits >> (64 * j)) & _MASK for j in range((dis.N + 63) // 64)]
+    key = dis._key
+    for w in words[1:]:
+        key = mix64(key ^ mix64(w))
+    h = mix64((words[0] + key) & _MASK)
+    return float(ndtri(((h >> 11) + 0.5) * 2.0**-53))
+
+
+@pytest.mark.parametrize("N", [16, 70, 130])
+def test_rem_energies_match_reference_fold(N):
+    traj = sample_walk(N, 300, RngStream(23, 3))
+    dis = RemDisorder(N, RngStream(23, 4))
+    want = [_rem_reference_energy(dis, c.bits) for c in traj.positions()]
+    assert list(trajectory_energies(dis, traj)) == want
+    assert [dis.energy(c) for c in traj.positions()[:20]] == want[:20]
 
 
 def test_rem_trajectory_energies_beyond_64_spins():
