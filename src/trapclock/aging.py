@@ -16,11 +16,13 @@ from the counter-based hash of `RemDisorder`, so revisits see the same trap
 depth without storing the visited set; p-spin energies come from each
 replica's dense couplings (`PSpinDisorder.energy_of_bits`). Walks advance
 in chunks and each replica retires as soon as both crossing times are
-known. The frozen-chain estimator runs the same batch code in shared-walk
-mode: one walk per group, broadcast against the group's per-replica traps
-and waits. Replica batches and frozen-chain groups each own their random
-streams and run on up to one thread per core, so the results do not depend
-on the core count.
+known; a batch's chunks keep a fixed element budget, so its survivors run
+longer chunks, not more of them. The frozen-chain estimator runs the same
+batch code in shared-walk mode: one walk per group, broadcast against the
+group's per-replica traps and waits. Replicas run in batches of 32; batches
+and frozen-chain groups each own their random streams and run on up to one
+thread per core, so the results depend on the batch size and the chunk
+length but not on the core count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ModelParams, RngStream, gaussian_from_sum, mix64_array
+from .core import ModelParams, RngStream, gaussian_from_sum
 from .hamiltonian import PSpinDisorder
 from .stable import arcsine_cdf
 
@@ -51,8 +53,9 @@ _EXCLUSION_BUDGET = 0.05
 
 _ONE = np.uint64(1)
 
-# replicas per batch job; a p-spin replica carries a dense coupling tensor
-_BATCH = {"rem": 1024, "pspin": 32}
+# replicas per batch job: the unit of the random streams and of the work
+# handed to each core; small batches keep heavy-tailed batch times balanced
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -108,18 +111,12 @@ def _check_kernel_domain(params: ModelParams) -> None:
         raise ValueError("gamma * N too large for float64 wall-clock times")
 
 
-def _derive_keys(rng: RngStream, ids: np.ndarray) -> np.ndarray:
-    # one fresh environment per replica: double-mixed per-replica keys
-    base = np.uint64(rng.hash_key())
-    with np.errstate(over="ignore"):
-        return mix64_array(mix64_array(ids.astype(np.uint64)) + base)
-
-
 def _landscapes(params: ModelParams, mode: str, rng: RngStream, ids: np.ndarray):
-    """One environment per replica id: REM hash keys (uint64), or dense
-    p-spin disorders keyed by replica index (an object array)."""
+    """One environment per replica id, from ``rng.substream(id)``: the hash
+    key of that stream's `RemDisorder` (uint64), or its dense
+    `PSpinDisorder` (an object array)."""
     if mode == "rem":
-        return _derive_keys(rng, ids)
+        return np.array([rng.substream(int(i)).hash_key() for i in ids], dtype=np.uint64)
     return np.array([PSpinDisorder(params.N, params.p, rng.substream(int(i)), "dense")
                      for i in ids], dtype=object)
 
@@ -229,12 +226,14 @@ def _aging_kernel(
 ):
     """Simulate `replicas` independent clocks up to the second crossing.
 
-    Replica i's landscape comes from substream 1 of `rng`: a REM hash key,
-    or (mode "pspin") the dense `PSpinDisorder` on ``substream(1).
-    substream(i)``. Replicas run in batches of ``_BATCH[mode]``, each built
-    inside its job with its own generator keyed by its first replica, on up
-    to one thread per core. A batch draws its flips and waits from that one
-    generator, flips first in every chunk.
+    Replica i's landscape lives on ``rng.substream(1).substream(i)``: the
+    `RemDisorder` or (mode "pspin") the dense `PSpinDisorder` of that
+    stream. Replicas run in batches of ``_BATCH`` (32), each built inside
+    its job with its own generator keyed by its first replica; free threads,
+    up to one per core, take the next batch. A batch draws its flips and
+    waits from that one generator, flips first in every chunk, and its
+    chunks keep a fixed element budget (`_chunk_length`). So the results
+    depend on ``_BATCH`` and the chunk length but not on the worker count.
 
     Returns (dist, excluded, vstar, range_undetermined):
       dist       -- Hamming distance between the sites occupied at the two
@@ -252,16 +251,15 @@ def _aging_kernel(
     elif mode != "rem":
         raise ValueError(f"unknown mode {mode!r}")
     nu, chunk, targets, root = _kernel_scales(params, t, s, chunk)
-    batch = _BATCH[mode]
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
 
     def job(lo: int):
-        ids = np.arange(lo, min(lo + batch, replicas), dtype=np.uint64)
+        ids = np.arange(lo, min(lo + _BATCH, replicas), dtype=np.uint64)
         gen = batch_rng.substream(lo).generator()
         return _aging_batch(_landscapes(params, mode, key_rng, ids), gen, gen,
                             params.N, nu, root, targets, step_cap, chunk)
 
-    parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, batch)])
+    parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, _BATCH)])
     dist, excluded, vstar = (np.concatenate(col) for col in zip(*parts))
     return dist, excluded, vstar, np.isnan(vstar)
 
@@ -294,54 +292,50 @@ def _aging_batch(
     excluded = np.zeros(n, dtype=bool)
     vstar = np.full(n, np.nan)
     rows = np.arange(n)
-    # work arrays sized for the full batch; retired replicas shrink the view
-    walk_buf = np.empty((1 if shared_walk else n, chunk + 1), dtype=np.uint64)
-    hash_buf = np.empty((n, chunk), dtype=np.uint64)
-    series_buf = np.empty((n, chunk))
+    # flat work buffers holding a fixed element budget: the full batch runs
+    # `chunk` steps per chunk, and as replicas retire the survivors run
+    # longer chunks in the same memory, not more of them
+    budget = n * chunk
+    walk_buf = np.empty(budget + n, dtype=np.uint64)
+    hash_buf = np.empty(budget, dtype=np.uint64)
+    series_buf = np.empty(budget)
 
-    pos = np.zeros(walk_buf.shape[0], dtype=np.uint64)
+    pos = np.zeros(1 if shared_walk else n, dtype=np.uint64)
     clock = np.zeros(n)
     site1 = np.zeros(n, dtype=np.uint64)
     site2 = np.zeros(n, dtype=np.uint64)
     have1 = np.zeros(n, dtype=bool)
     have2 = np.zeros(n, dtype=bool)
-    have_v = np.zeros(n, dtype=bool)
     vloc = np.full(n, np.nan)
     steps_done = 0
 
     while True:
-        walk = walk_buf[: pos.size]
-        _walk_into(walk, pos, walk_gen.integers(0, N, size=(pos.size, chunk)))
-        sites = np.broadcast_to(walk[:, :-1], (n, chunk))
+        length = _chunk_length(n, budget, chunk, nu, step_cap - steps_done)
+        walk = walk_buf[: pos.size * (length + 1)].reshape(pos.size, length + 1)
+        _walk_into(walk, pos, walk_gen.integers(0, N, size=(pos.size, length)))
+        sites = np.broadcast_to(walk[:, :-1], (n, length))
+        size = n * length
         series = _clock_series(
-            keys, sites, clock, root, wait_gen, hash_buf[:n], series_buf[:n]
+            keys, sites, clock, root, wait_gen,
+            hash_buf[:size].reshape(n, length), series_buf[:size].reshape(n, length),
         )
 
-        over1 = series > target1
-        tail1 = over1[:, -1]
-        j1 = np.argmax(over1, axis=1)
-        fresh1 = ~have1 & tail1
-        site1[fresh1] = sites[fresh1, j1[fresh1]]
-        have1 |= tail1
-
-        over2 = series > target2
-        tail2 = over2[:, -1]
-        j2 = np.argmax(over2, axis=1)
-        fresh2 = ~have2 & tail2
-        site2[fresh2] = sites[fresh2, j2[fresh2]]
-        have2 |= tail2
-
-        # coarse-grained range: clock values at block boundaries only
-        blocks = series[:, nu - 1 :: nu]
-        overb = blocks > target1
-        bj = np.argmax(overb, axis=1)
-        freshv = ~have_v & overb[:, -1]
-        vloc[freshv] = blocks[freshv, bj[freshv]]
-        have_v |= overb[:, -1]
+        # the series rises along each row, so a row crossed a target in
+        # this chunk iff its last value is above it; only those rows are
+        # searched. The chunk ends on a block boundary, so the first
+        # boundary above target1 is the one closing the first crossing's
+        # block: that value is the coarse clock's vstar.
+        r1, j1 = _first_crossing(series, have1, target1)
+        site1[r1] = sites[r1, j1]
+        vloc[r1] = series[r1, j1 // nu * nu + nu - 1]
+        have1[r1] = True
+        r2, j2 = _first_crossing(series, have2, target2)
+        site2[r2] = sites[r2, j2]
+        have2[r2] = True
 
         clock = series[:, -1].copy()
         pos = walk[:, -1].copy()
-        steps_done += chunk
+        steps_done += length
 
         done = have2
         if steps_done >= step_cap:
@@ -368,11 +362,32 @@ def _aging_batch(
             site2 = site2[keep]
             have1 = have1[keep]
             have2 = have2[keep]
-            have_v = have_v[keep]
             vloc = vloc[keep]
             n = rows.size
 
     return dist, excluded, vstar
+
+
+def _chunk_length(rows: int, budget: int, chunk: int, nu: int, remaining: int) -> int:
+    """Steps in the next chunk of a batch with `rows` active rows.
+
+    The chunk spreads `budget` elements over the rows, in whole blocks of
+    `nu` steps and never fewer than `chunk` steps. When that would run past
+    the step cap, it stops at the first block boundary at or past the cap
+    (still at least `chunk`), so a batch runs between `cap` and
+    `cap + chunk` steps.
+    """
+    length = max(chunk, budget // rows // nu * nu)
+    if length > remaining:
+        length = max(chunk, -(-remaining // nu) * nu)
+    return length
+
+
+def _first_crossing(series: np.ndarray, have: np.ndarray, target: float):
+    """Rows not yet in `have` whose series passes `target` in this chunk,
+    and the first column above `target` in each of them."""
+    rows = np.flatnonzero(~have & (series[:, -1] > target))
+    return rows, np.argmax(series[rows] > target, axis=1)
 
 
 def hamming_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,7 +419,7 @@ def _frozen_kernel(
     jobs = []
     for g in range(groups):
         grng = rng.substream(100 + g)
-        jobs.append((_derive_keys(grng.substream(3), ids),
+        jobs.append((_landscapes(params, "rem", grng.substream(3), ids),
                      grng.substream(1).generator(), grng.substream(2).generator(),
                      params.N, nu, root, targets, step_cap, chunk, True))
     return [(dist, excluded) for dist, excluded, _ in _run_jobs(_aging_batch, jobs)]
@@ -527,8 +542,11 @@ def estimate_aging_frozen(
         good = dist[~excluded]
         if good.size:
             means.append(float((good <= thresh).mean()))
-    est = float(np.mean(means))
-    se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    # fewer than two resolved groups give no spread, none no estimate
+    est = float(np.mean(means)) if means else math.nan
+    se = math.nan
+    if len(means) > 1:
+        se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     return _assemble(params, t, s, epsilon, replicas_per_group * groups, est, se,
                      n_excluded, "rem-frozen")
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,28 @@ def test_frozen_needs_groups():
         estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 50, groups=1)
 
 
+def test_frozen_with_fewer_than_two_resolved_groups():
+    # no group resolves: no estimate; one group resolves: its mean, and no
+    # spread to estimate a stderr from; neither case warns
+    rem20 = ModelParams(N=20, p=3, beta=2.0, gamma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        none = estimate_aging_frozen(
+            rem20, 1, 1, 0.3, 8, groups=3, rng=RngStream(3, 3), step_cap_factor=0.02
+        )
+        one = estimate_aging_frozen(
+            PARAMS, 1, 1, 0.3, 4, groups=3, rng=RngStream(41, 54), step_cap_factor=0.02
+        )
+    assert none.excluded == none.replicas and none.non_conclusive
+    assert math.isnan(none.estimate) and math.isnan(none.stderr)
+    cap = aging._step_cap(PARAMS, 2.0, 0.02)
+    groups = aging._frozen_kernel(PARAMS, 1, 1, 4, 3, RngStream(41, 54), cap)
+    resolved = [dist[~excluded] for dist, excluded in groups if not excluded.all()]
+    assert len(resolved) == 1
+    assert one.estimate == float((resolved[0] <= 0.3 * PARAMS.N / 2).mean())
+    assert math.isnan(one.stderr)
+
+
 def test_range_miss_sits_below_two_time(sweep):
     rm = estimate_range_miss(PARAMS, 1.0, 1.0, 2000, rng=RngStream(41, 3))
     assert rm.mode == "rem-range"
@@ -213,7 +236,7 @@ def test_chunk_stages_match_allocating_reference():
     root = 2.0 * math.sqrt(N)
     ref_gen = RngStream(41, 23).generator()
     gen = RngStream(41, 23).generator()
-    keys = aging._derive_keys(RngStream(41, 24), np.arange(n, dtype=np.uint64))
+    keys = aging._landscapes(PARAMS, "rem", RngStream(41, 24), np.arange(n))
     pos = np.random.default_rng(3).integers(0, 2**N, size=n, dtype=np.uint64)
     clock = np.linspace(0.0, 2.0, n)
 
@@ -256,23 +279,57 @@ def test_pspin_chunk_stage_reads_each_rows_landscape():
 
 
 def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
-    # 2000 replicas are two 1024-replica batches; 12 frozen groups; 70
-    # p-spin replicas are three batches
-    cap = aging._step_cap(PARAMS, 2.0, 8.0)
+    # 70 and 1000 REM replicas are 3 and 32 batches of up to 32, the last
+    # one short; the starved cap (factor 0.05) ends batches in the cap
+    # clamp; 12 frozen groups; 70 p-spin replicas are three batches
+    caps = [aging._step_cap(PARAMS, 2.0, f) for f in (8.0, 0.05)]
     pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(aging, "_cpu_count", lambda w=workers: w)
-        rem = aging._aging_kernel(PARAMS, 1.0, 1.0, 2000, RngStream(41, 21), cap)
-        frozen = aging._frozen_kernel(
-            PARAMS, 1.0, 1.0, 20, 12, RngStream(41, 22), cap
-        )
-        pspin = aging._aging_kernel(
+        arrays = []
+        for cap in caps:
+            for replicas in (70, 1000):
+                arrays += aging._aging_kernel(PARAMS, 1.0, 1.0, replicas, RngStream(41, 21), cap)
+            frozen = aging._frozen_kernel(PARAMS, 1.0, 1.0, 20, 12, RngStream(41, 22), cap)
+            arrays += [a for pair in frozen for a in pair]
+        arrays += aging._aging_kernel(
             PSPIN, 0.5, 0.5, 70, RngStream(41, 25), pspin_cap, "pspin"
         )
-        arrays = [*rem, *(a for pair in frozen for a in pair), *pspin]
         runs.append([a.tobytes() for a in arrays])
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_chunks_keep_the_element_budget(monkeypatch, shared):
+    # a 32-replica batch whose replicas retire one by one: every chunk fits
+    # the full batch's n0 * chunk elements in whole blocks, survivors run
+    # longer chunks, and the last chunk stops at the first block boundary
+    # past the cap
+    n0, chunk = 32, 8
+    nu, chunk, targets, root = aging._kernel_scales(PARAMS, 1.0, 1.0, chunk)
+    cap = aging._step_cap(PARAMS, 2.0, 4.0)
+    shapes = []
+    clock_series = aging._clock_series
+
+    def recording(*args):
+        out = clock_series(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(aging, "_clock_series", recording)
+    stream = RngStream(41, 60)
+    _, excluded, _ = aging._aging_batch(
+        aging._landscapes(PARAMS, "rem", stream.substream(3), np.arange(n0)),
+        stream.substream(1).generator(), stream.substream(2).generator(),
+        PARAMS.N, nu, root, targets, cap, chunk, shared,
+    )
+    assert 0 < excluded.sum() < n0 // 2
+    for rows, length in shapes:
+        assert rows * length <= n0 * chunk
+        assert length % nu == 0 and length >= chunk
+    assert max(length for _, length in shapes) > chunk
+    assert cap <= sum(length for _, length in shapes) < cap + chunk
 
 
 def test_no_worker_outlives_a_call(monkeypatch):
@@ -289,7 +346,7 @@ def test_shared_walk_batch_matches_per_replica_for_one_replica():
     # with one replica the broadcast walker row is that replica's own walk,
     # so both modes draw and compute the same; starved caps cover exclusion
     nu, chunk, targets, root = aging._kernel_scales(PARAMS, 1.0, 1.0, None)
-    keys = aging._derive_keys(RngStream(41, 28), np.arange(4, dtype=np.uint64))
+    keys = aging._landscapes(PARAMS, "rem", RngStream(41, 28), np.arange(4))
     for factor in (8.0, 0.3):
         cap = aging._step_cap(PARAMS, 2.0, factor)
         for i in range(keys.size):
@@ -339,14 +396,15 @@ def test_pspin_batch_matches_simulate_clock():
 
 
 def test_rem_batch_matches_simulate_clock():
-    # a RemDisorder holding the kernel's key sees the kernel's landscape;
-    # up to 32 chunks per replica
-    keys = aging._derive_keys(RngStream(41, 34), np.arange(6, dtype=np.uint64))
+    # replica i's key is that of the RemDisorder on the key stream's
+    # substream i, so that disorder sees the kernel's landscape; up to 32
+    # chunks per replica
+    key_stream = RngStream(41, 34)
+    keys = aging._landscapes(PARAMS, "rem", key_stream, np.arange(6))
     dists = []
     for i in range(6):
         stream = RngStream(41, 35).substream(i)
-        disorder = RemDisorder(PARAMS.N, stream.substream(0))
-        disorder._key = int(keys[i])
+        disorder = RemDisorder(PARAMS.N, key_stream.substream(i))
         dists.append(
             _batch_distance_matching_simulate_clock(PARAMS, keys[i : i + 1], disorder, stream, 32)
         )
@@ -361,7 +419,7 @@ def test_rem_stream_is_pinned():
     frozen = aging._frozen_kernel(PARAMS, 1, 1, 20, 3, RngStream(41, 41), cap)
     arrays = [dist, excluded, *(a for pair in frozen for a in pair)]
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert digest == "8ce28190af558db1ed0bc8feb71586e74deef22913309a52325ec8f13d3810a0"
+    assert digest == "eb90b086b9ea72b09d4a54b674d58234b334aa73efbc6d5f9c2c1674dd78aacd"
 
 
 def test_pspin_landscapes_are_keyed_by_replica_index():
