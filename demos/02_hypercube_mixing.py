@@ -47,4 +47,4 @@ for nu in (2, 4, 6, 8):
 print()
 
 walk = sample_walk(N, 12, RngStream(2, 0), start=SpinConfig.all_plus(N))
-print(f"a sampled 12-step walk flips coordinates {list(walk.flips)}")
+print(f"a sampled 12-step walk flips coordinates {walk.flips.tolist()}")

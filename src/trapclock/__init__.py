@@ -8,7 +8,6 @@ verify the scaling predictions numerically.
 
 from .core import ModelParams, RngStream, ScaleReport, derive_scales, params_from_json
 from .hypercube import (
-    EhrenfestChain,
     SpinConfig,
     WalkTrajectory,
     distance_distribution,
@@ -18,7 +17,6 @@ from .hypercube import (
     pair_distance_counts,
     return_statistic_rho,
     sample_walk,
-    walk_step,
 )
 from .hamiltonian import (
     PSpinDisorder,
@@ -81,7 +79,6 @@ __all__ = [
     "AgingEstimate",
     "CadlagStepPath",
     "ClockPath",
-    "EhrenfestChain",
     "GammaCoefficients",
     "ModelParams",
     "PSpinDisorder",
@@ -131,7 +128,6 @@ __all__ = [
     "upsilon",
     "upsilon_tilde",
     "valley_profile_mc",
-    "walk_step",
     "xi_rate_check",
     "zeta",
 ]

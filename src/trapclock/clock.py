@@ -153,9 +153,6 @@ class RescaledClock:
         out = np.where(np.isneginf(self.clock.log_values[k]), 0.0, out)
         return float(out) if np.ndim(t) == 0 else out
 
-    def max_time(self) -> float:
-        return self.clock.steps / self._rate()
-
     def to_step_path(self, T: float) -> CadlagStepPath:
         """Materialize the exact step path on [0, T] for metric diagnostics."""
         rate = self._rate()

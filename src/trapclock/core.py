@@ -39,25 +39,17 @@ def mix64(x: int) -> int:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer; input/output np.uint64.
-
-    Wraparound is the point of the arithmetic, so the overflow warning that
-    numpy raises for scalar (0-d) operands is suppressed."""
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(_GOLDEN)).astype(np.uint64)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
+    """Vectorized SplitMix64 finalizer on a copy of `x`; input/output
+    np.uint64 (a scalar input gives a 0-d array)."""
+    x = np.array(x, dtype=np.uint64)
+    return mix64_inplace(x, np.empty_like(x))
 
 
 def mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """:func:`mix64_array` on a uint64 array, in place; returns `x`.
 
     `tmp` is a uint64 work array of x's shape, so the rounds allocate
-    nothing: the form for large arrays in a loop. Small or scalar inputs
-    are cheaper through :func:`mix64_array`."""
+    nothing: the form for large arrays in a loop."""
     x += np.uint64(_GOLDEN)
     np.right_shift(x, np.uint64(30), out=tmp)
     x ^= tmp

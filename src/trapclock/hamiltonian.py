@@ -24,7 +24,6 @@ hashed couplings one first-index slab of N^{p-1} couplings at a time.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -37,7 +36,29 @@ _DENSE_DEFAULT_MAX_N = 25
 _FOLD_FLOATS = 1 << 16
 
 
-class PSpinDisorder:
+class _Landscape:
+    """Single-configuration access shared by both landscapes; every energy
+    comes from the subclass's `_energy_of_packed`."""
+
+    N: int
+
+    def energy(self, config: SpinConfig) -> float:
+        if config.N != self.N:
+            raise ValueError("configuration dimension mismatch")
+        packed = np.frombuffer(config.packed(), np.uint8)[None]
+        return float(self._energy_of_packed(packed)[0])
+
+    def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
+        """Energy after flipping one spin, evaluated directly, and the cache
+        of the new configuration. `cache` must hold the bits of `config`."""
+        if cache.get("bits") != config.bits:
+            raise ValueError("stale incremental cache: checksum mismatch")
+        new_config = config.flip(flip_index)
+        e = self.energy(new_config)
+        return e, {"bits": new_config.bits, "energy": e}
+
+
+class PSpinDisorder(_Landscape):
     """p-spin coupling disorder, reproducible from (seed, N, p, mode)."""
 
     def __init__(self, N: int, p: int, stream: RngStream, mode: str = "auto"):
@@ -62,8 +83,6 @@ class PSpinDisorder:
         self.mode = mode
         self.stream = stream
         self._norm = N ** (-p / 2.0)
-        # multipliers for flattening an ordered tuple into one counter
-        self._mults = [N**a for a in range(p - 1, -1, -1)]
         if mode == "dense":
             self.couplings = stream.generator().standard_normal((N,) * p)
             self._key = None
@@ -77,29 +96,17 @@ class PSpinDisorder:
 
     # -- coupling access ----------------------------------------------------
 
-    def _block(self, fixed: dict) -> np.ndarray:
-        """Sub-tensor of couplings with the axes in `fixed` pinned to given
-        indices; shape (N,)*(p - len(fixed)), free axes in increasing order."""
-        if self.mode == "dense":
-            idx = tuple(fixed.get(a, slice(None)) for a in range(self.p))
-            return self.couplings[idx]
-        free = [a for a in range(self.p) if a not in fixed]
-        base = sum(self._mults[a] * i for a, i in fixed.items())
-        flat = np.uint64(base)
-        nfree = len(free)
-        for pos, a in enumerate(free):
-            shape = [1] * nfree
-            shape[pos] = self.N
-            idx = np.arange(self.N, dtype=np.uint64).reshape(shape)
-            flat = flat + idx * np.uint64(self._mults[a])
-        return gaussian_from_hash(self._key, flat)
+    def _slab(self, i: int) -> np.ndarray:
+        """Hashed couplings of first index i, shape (N,)*(p-1): the ordered
+        tuple (i, j, ...) reads counter i N^{p-1} + j N^{p-2} + ..."""
+        size = self.N ** (self.p - 1)
+        idx = np.arange(i * size, (i + 1) * size, dtype=np.uint64)
+        return gaussian_from_hash(self._key, idx).reshape((self.N,) * (self.p - 1))
 
     @staticmethod
     def _fold(block: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """Contract every axis of `block` with each column of `signs` (N, m):
         one value per column."""
-        if block.ndim == 0:
-            return np.full(signs.shape[1], float(block))
         N, m = signs.shape
         out = block.reshape(-1, N) @ signs
         for _ in range(block.ndim - 1):
@@ -107,11 +114,6 @@ class PSpinDisorder:
         return out[0]
 
     # -- energies -----------------------------------------------------------
-
-    def energy(self, config: SpinConfig) -> float:
-        self._check(config)
-        packed = np.frombuffer(config.packed(), np.uint8)[None]
-        return float(self._energy_of_packed(packed)[0])
 
     def energy_of_bits(self, bits) -> np.ndarray:
         """Energies of configurations given as bit integers (N <= 64), one
@@ -139,35 +141,13 @@ class PSpinDisorder:
                 out[lo : lo + step] = self._fold(self.couplings, signs)
             else:
                 out[lo : lo + step] = sum(
-                    signs[i] * self._fold(self._block({0: i}), signs)
+                    signs[i] * self._fold(self._slab(i), signs)
                     for i in range(self.N)
                 )
         return self._norm * out
 
-    def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
-        """Energy after flipping one spin, via the multilinear expansion in
-        the rank-one perturbation. O(p N^{p-1}) instead of O(N^p)."""
-        self._check(config)
-        _check_cache(cache, config)
-        if not 0 <= flip_index < self.N:
-            raise IndexError("flip index out of range")
-        s = config.signs().astype(np.float64)[:, None]
-        step = -2.0 * s[flip_index, 0]  # sigma'_f - sigma_f
-        delta = 0.0
-        for k in range(1, self.p + 1):
-            for axes in combinations(range(self.p), k):
-                fixed = {a: flip_index for a in axes}
-                delta += step**k * float(self._fold(self._block(fixed), s)[0])
-        new_energy = cache["energy"] + self._norm * delta
-        new_config = config.flip(flip_index)
-        return new_energy, {"bits": new_config.bits, "energy": new_energy}
 
-    def _check(self, config: SpinConfig):
-        if config.N != self.N:
-            raise ValueError("configuration dimension mismatch")
-
-
-class RemDisorder:
+class RemDisorder(_Landscape):
     """I.i.d. standard normal per vertex, as a pure function of the bits.
 
     The packed bits of a configuration, read as little-endian 64-bit words
@@ -188,12 +168,6 @@ class RemDisorder:
     def from_seed(cls, seed: int, N: int) -> "RemDisorder":
         return cls(N, RngStream(seed, 102))
 
-    def energy(self, config: SpinConfig) -> float:
-        if config.N != self.N:
-            raise ValueError("configuration dimension mismatch")
-        packed = np.frombuffer(config.packed(), np.uint8)[None]
-        return float(self._energy_of_packed(packed)[0])
-
     def _energy_of_packed(self, packed: np.ndarray) -> np.ndarray:
         """Energies of rows of little-endian packed bits, one per row; each
         fold step runs on one word column of all rows at once."""
@@ -205,17 +179,6 @@ class RemDisorder:
         for j in range(1, words.shape[1]):
             key = mix64_array(key ^ mix64_array(words[:, j]))
         return gaussian_from_hash(key, words[:, 0])
-
-    def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
-        _check_cache(cache, config)
-        new_config = config.flip(flip_index)
-        e = self.energy(new_config)
-        return e, {"bits": new_config.bits, "energy": e}
-
-
-def _check_cache(cache: dict, config: SpinConfig):
-    if cache.get("bits") != config.bits:
-        raise ValueError("stale incremental cache: checksum mismatch")
 
 
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:

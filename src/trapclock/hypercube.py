@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import RngStream, as_generator
+from .core import as_generator
 
 
 @dataclass(frozen=True)
@@ -38,35 +38,6 @@ class SpinConfig:
     @classmethod
     def all_plus(cls, N: int) -> "SpinConfig":
         return cls(N, 0)
-
-    @classmethod
-    def from_signs(cls, signs) -> "SpinConfig":
-        arr = np.asarray(signs)
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("signs must be +1/-1")
-        bits = 0
-        for i, s in enumerate(arr):
-            if s < 0:
-                bits |= 1 << i
-        return cls(len(arr), bits)
-
-    @classmethod
-    def random(cls, N: int, rng) -> "SpinConfig":
-        gen = as_generator(rng)
-        bits = int.from_bytes(gen.bytes((N + 7) // 8), "little") & ((1 << N) - 1)
-        return cls(N, bits)
-
-    def signs(self) -> np.ndarray:
-        out = np.ones(self.N, dtype=np.int8)
-        b = self.bits
-        while b:
-            i = (b & -b).bit_length() - 1
-            out[i] = -1
-            b &= b - 1
-        return out
-
-    def spin(self, i: int) -> int:
-        return -1 if (self.bits >> i) & 1 else 1
 
     def flip(self, i: int) -> "SpinConfig":
         if not 0 <= i < self.N:
@@ -88,27 +59,23 @@ def overlap(a: SpinConfig, b: SpinConfig) -> float:
     return 1.0 - 2.0 * hamming(a, b) / a.N
 
 
-def walk_step(config: SpinConfig, rng) -> tuple[SpinConfig, int]:
-    """One step of the unbiased walk: flip a uniformly chosen coordinate.
-
-    When stepping in a loop, pass a numpy Generator; a bare RngStream is
-    reseeded on every call and would repeat the same coordinate.
-    """
-    i = int(as_generator(rng).integers(config.N))
-    return config.flip(i), i
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkTrajectory:
-    """A walk given by its start and the sequence of flipped coordinates."""
+    """A walk given by its start and the read-only int64 array of flipped
+    coordinates, one per step."""
 
     start: SpinConfig
-    flips: tuple[int, ...]
+    flips: np.ndarray
 
     def __post_init__(self):
-        for f in self.flips:
-            if not 0 <= f < self.start.N:
-                raise ValueError(f"flip index {f} out of range")
+        flips = np.array(self.flips, dtype=np.int64)
+        if flips.ndim != 1:
+            raise ValueError("flips must be one-dimensional")
+        bad = flips[(flips < 0) | (flips >= self.start.N)]
+        if bad.size:
+            raise ValueError(f"flip index {bad[0]} out of range")
+        flips.flags.writeable = False
+        object.__setattr__(self, "flips", flips)
 
     @property
     def length(self) -> int:
@@ -119,20 +86,19 @@ class WalkTrajectory:
         return self.start.N
 
     def config_at(self, k: int) -> SpinConfig:
+        """The vertex after k steps: the start with every coordinate flipped
+        an odd number of times among the first k flips inverted."""
         if not 0 <= k <= self.length:
             raise IndexError("step index out of range")
-        bits = self.start.bits
-        for f in self.flips[:k]:
-            bits ^= 1 << f
-        return SpinConfig(self.N, bits)
+        odd = (np.bincount(self.flips[:k], minlength=self.N) & 1).astype(np.uint8)
+        mask = np.packbits(odd, bitorder="little").tobytes()
+        return SpinConfig(self.N, self.start.bits ^ int.from_bytes(mask, "little"))
 
     def positions(self) -> list[SpinConfig]:
-        out = [self.start]
-        bits = self.start.bits
-        for f in self.flips:
-            bits ^= 1 << f
-            out.append(SpinConfig(self.N, bits))
-        return out
+        return [
+            SpinConfig(self.N, int.from_bytes(row.tobytes(), "little"))
+            for row in self.position_bits()
+        ]
 
     def position_bits(self) -> np.ndarray:
         """(length+1, ceil(N/8)) packed uint8 array of all visited vertices."""
@@ -140,9 +106,8 @@ class WalkTrajectory:
         masks = np.zeros((self.length + 1, nbytes), dtype=np.uint8)
         masks[0] = np.frombuffer(self.start.packed(), dtype=np.uint8)
         if self.length:
-            flips = np.asarray(self.flips, dtype=np.int64)
             rows = np.arange(1, self.length + 1)
-            masks[rows, flips // 8] = np.uint8(1) << (flips % 8).astype(np.uint8)
+            masks[rows, self.flips // 8] = np.uint8(1) << (self.flips % 8).astype(np.uint8)
             np.bitwise_xor.accumulate(masks, axis=0, out=masks)
         return masks
 
@@ -150,7 +115,7 @@ class WalkTrajectory:
         buf = io.BytesIO()
         buf.write(struct.pack("<QQ", self.N, self.length))
         buf.write(self.start.packed())
-        buf.write(np.asarray(self.flips, dtype="<u4").tobytes())
+        buf.write(self.flips.astype("<u4").tobytes())
         return buf.getvalue()
 
     @classmethod
@@ -161,7 +126,7 @@ class WalkTrajectory:
         bits = int.from_bytes(data[off : off + nbytes], "little")
         off += nbytes
         flips = np.frombuffer(data, dtype="<u4", count=k, offset=off)
-        return cls(SpinConfig(int(N), bits), tuple(int(f) for f in flips))
+        return cls(SpinConfig(int(N), bits), flips)
 
 
 def sample_walk(N: int, k: int, rng, start: SpinConfig | None = None) -> WalkTrajectory:
@@ -169,8 +134,7 @@ def sample_walk(N: int, k: int, rng, start: SpinConfig | None = None) -> WalkTra
         start = SpinConfig.all_plus(N)
     if start.N != N:
         raise ValueError("start has wrong dimension")
-    flips = as_generator(rng).integers(0, N, size=k)
-    return WalkTrajectory(start, tuple(int(f) for f in flips))
+    return WalkTrajectory(start, as_generator(rng).integers(0, N, size=k))
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +142,9 @@ def sample_walk(N: int, k: int, rng, start: SpinConfig | None = None) -> WalkTra
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EhrenfestChain:
-    """Birth-death chain on {0..N}: from i, down w.p. i/N, up w.p. 1 - i/N."""
-
-    N: int
-    state: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.state <= self.N:
-            raise ValueError("state out of range")
-
-    def step(self, rng) -> int:
-        """Advance one step and return the new state (pass a Generator when
-        looping, see walk_step)."""
-        gen = as_generator(rng)
-        if gen.random() < self.state / self.N:
-            self.state -= 1
-        else:
-            self.state += 1
-        return self.state
-
-
 def _ehrenfest_paths(N: int, steps: int, replicas: int, gen: np.random.Generator) -> np.ndarray:
-    """(replicas, steps) array of states Q_1..Q_steps, all started at 0."""
+    """(replicas, steps) array of states Q_1..Q_steps of the Ehrenfest
+    chain, all started at 0: from i, down w.p. i/N, up w.p. 1 - i/N."""
     states = np.zeros(replicas, dtype=np.int64)
     out = np.empty((replicas, steps), dtype=np.int64)
     for i in range(steps):

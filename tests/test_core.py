@@ -11,6 +11,7 @@ from scipy.special import ndtri
 from trapclock.core import (
     ModelParams,
     RngStream,
+    as_generator,
     derive_scales,
     gaussian_from_hash,
     log_cumsum_exp,
@@ -40,6 +41,12 @@ def test_mix64_array_matches_scalar(xs):
     for x, y in zip(xs, out):
         assert mix64(x) == int(y)
     assert np.array_equal(mix64_inplace(arr, np.empty_like(arr)), out)
+
+
+def test_mix64_array_leaves_its_input():
+    x = np.arange(5, dtype=np.uint64)
+    mix64_array(x)
+    assert np.array_equal(x, np.arange(5, dtype=np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -138,6 +145,17 @@ def test_rng_substream_deterministic():
     assert s1 == s2
     assert np.array_equal(s1.generator().random(16), s2.generator().random(16))
     assert s1 != RngStream(5, 0).substream(4)
+
+
+def test_rng_stream_in_a_loop_repeats_its_draw():
+    # documented contract: an RngStream is a seed recipe, so per-call use
+    # repeats; a Generator carries state
+    stream = RngStream(11, 3)
+    first = as_generator(stream).integers(8)
+    assert as_generator(stream).integers(8) == first
+    gen = stream.generator()
+    assert as_generator(gen) is gen
+    assert [gen.integers(8) for _ in range(8)] != [first] * 8
 
 
 def test_gaussian_from_hash_repeatable_and_keyed():

@@ -139,7 +139,7 @@ def test_dense_and_hashed_trajectory_energies_agree(N, p, steps):
     each walk spans at least three hashed row blocks."""
     hashed = PSpinDisorder(N, p, RngStream(21, p), mode="hashed")
     dense = PSpinDisorder(N, p, RngStream(21, p), mode="dense")
-    dense.couplings = hashed._block({})
+    dense.couplings = np.stack([hashed._slab(i) for i in range(N)])
     traj = sample_walk(N, steps, RngStream(22, N))
     es = trajectory_energies(hashed, traj)
     assert np.max(np.abs(es - trajectory_energies(dense, traj))) < 1e-12

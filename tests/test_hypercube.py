@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from trapclock.core import RngStream
 from trapclock.hypercube import (
-    EhrenfestChain,
     SpinConfig,
     WalkTrajectory,
     binomial_half_pmf,
@@ -23,7 +24,6 @@ from trapclock.hypercube import (
     pair_distance_counts,
     return_statistic_rho,
     sample_walk,
-    walk_step,
 )
 
 
@@ -42,17 +42,10 @@ def test_overlap_rejects_mismatched_n():
         overlap(SpinConfig(4, 0), SpinConfig(5, 0))
 
 
-def test_walk_step_single_coordinate():
-    cfg = SpinConfig(1, 0)
-    nxt, idx = walk_step(cfg, RngStream(1, 0))
-    assert idx == 0
-    assert nxt.bits == 1
-
-
-def test_walk_step_flip_indices_uniform():
+def test_sample_walk_flip_indices_uniform():
     """Flip-index histogram over 1e5 steps passes a chi-square test."""
     traj = sample_walk(8, 100_000, RngStream(42, 0))
-    counts = np.bincount(np.asarray(traj.flips), minlength=8)
+    counts = np.bincount(traj.flips, minlength=8)
     _, pvalue = scipy.stats.chisquare(counts)
     assert pvalue > 0.01
 
@@ -67,6 +60,53 @@ def test_walk_consecutive_configs_differ_by_one():
     traj = sample_walk(9, 25, RngStream(17, 4))
     for k in range(25):
         assert hamming(traj.config_at(k), traj.config_at(k + 1)) == 1
+
+
+def test_walk_bytes_format_is_pinned():
+    """The serialized form: N and length as little-endian u64, the packed
+    start, then one little-endian u32 per flip."""
+    walk = WalkTrajectory(SpinConfig(10, 0b1000000101), (0, 9, 3, 3, 7))
+    data = walk.to_bytes()
+    assert data.hex() == (
+        "0a00000000000000" "0500000000000000" "0502"
+        "00000000" "09000000" "03000000" "03000000" "07000000"
+    )
+    back = WalkTrajectory.from_bytes(data)
+    assert back.start == walk.start
+    assert np.array_equal(back.flips, walk.flips)
+    start = SpinConfig(70, (1 << 69) | (1 << 64) | 5)
+    walk = sample_walk(70, 50, RngStream(8, 70), start=start)
+    data = walk.to_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "a50d2786d56ac8992fa365b66303aa092f4fc61c5018b05436551a03844ec040"
+    )
+    back = WalkTrajectory.from_bytes(data)
+    assert back.start == start and back.to_bytes() == data
+    assert back.flips.dtype == np.int64 and not back.flips.flags.writeable
+    assert back.config_at(50) == walk.config_at(50)
+    empty = WalkTrajectory(SpinConfig(12, 7), ())
+    assert empty.to_bytes().hex() == "0c00000000000000" "0000000000000000" "0700"
+    back = WalkTrajectory.from_bytes(empty.to_bytes())
+    assert back.length == 0 and back.config_at(0) == SpinConfig(12, 7)
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 7])
+def test_walk_rejects_out_of_range_flips(bad):
+    start = SpinConfig(6, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        WalkTrajectory(start, (0, 5, bad, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        WalkTrajectory(start, np.array([bad]))
+    data = WalkTrajectory(start, (0, 5, 1, 2)).to_bytes()
+    # the third flip's u32 sits after the 16-byte header, 1 start byte, 2 flips
+    forged = data[:25] + struct.pack("<I", bad % 2**32) + data[29:]
+    with pytest.raises(ValueError, match="out of range"):
+        WalkTrajectory.from_bytes(forged)
+
+
+def test_walk_rejects_non_vector_flips():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        WalkTrajectory(SpinConfig(6, 0), [[0, 1], [2, 3]])
 
 
 def test_ehrenfest_hitting_small_chain():
@@ -123,31 +163,6 @@ def test_distance_distribution_mixes_to_binomial():
     k = math.ceil(N * N * math.log(N))
     avg = 0.5 * (distance_distribution(N, k) + distance_distribution(N, k + 1))
     assert np.max(np.abs(avg - binomial_half_pmf(N))) < 1e-6
-
-
-def test_ehrenfest_chain_transition_frequencies():
-    N = 8
-    gen = RngStream(11, 3).generator()
-    downs = 0
-    trials = 4000
-    for _ in range(trials):
-        chain = EhrenfestChain(N, state=3)
-        nxt = chain.step(gen)
-        assert abs(nxt - 3) == 1
-        downs += nxt == 2
-    freq = downs / trials
-    se = math.sqrt(0.375 * 0.625 / trials)
-    assert abs(freq - 3.0 / 8.0) < 4 * se
-
-
-def test_rng_stream_in_a_step_loop_repeats():
-    # documented contract: an RngStream is a seed recipe, so per-call use
-    # repeats; a Generator carries state
-    stream = RngStream(11, 3)
-    chain = EhrenfestChain(8, state=4)
-    first = chain.step(stream)
-    chain.state = 4
-    assert chain.step(stream) == first
 
 
 def test_no_backtrack_exact_values():
