@@ -14,7 +14,13 @@ which in the source paper age alike: the walk, the clock and the crossing
 detection are shared, and only the site energies differ. REM energies come
 from the counter-based hash of `RemDisorder`, so revisits see the same trap
 depth without storing the visited set; p-spin energies come from each
-replica's dense couplings (`PSpinDisorder.energy_of_bits`). Walks advance
+replica's dense couplings (`PSpinDisorder.energy_of_bits`). On the scale
+e**(gamma*N) the clock is carried by deep traps, so the REM kernel hashes
+every visited site but gives a depth, an exponential weight and a wait only
+to sites at or above a level z0; shallower visits add nothing. z0 is set
+per call so that the expected clock mass dropped up to the step cap is at
+most delta * t * e**(gamma*N), with delta = `_DROPPED_MASS` = 1e-6
+(`_deep_level`); delta = 0 is the exact kernel. Walks advance
 in chunks and each replica retires as soon as both crossing times are
 known; a batch's chunks keep a fixed element budget, so its survivors run
 longer chunks, not more of them. The frozen-chain estimator runs the same
@@ -34,8 +40,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtri_exp
 
-from .core import ModelParams, RngStream, gaussian_from_sum
+from .core import ModelParams, RngStream, gaussian_from_bits, mix64_inplace
 from .hamiltonian import PSpinDisorder
 from .stable import arcsine_cdf
 
@@ -56,6 +63,11 @@ _ONE = np.uint64(1)
 # replicas per batch job: the unit of the random streams and of the work
 # handed to each core; small batches keep heavy-tailed batch times balanced
 _BATCH = 32
+
+# expected clock mass the REM kernels may drop, as a fraction of the first
+# target t * e**(gamma*N): visits below the deep level add nothing
+# (`_deep_level`); 0 keeps every site and is the exact kernel
+_DROPPED_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -159,51 +171,105 @@ def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
     np.bitwise_xor.accumulate(walk, axis=-1, out=walk)
 
 
-def _site_energies(
-    keys: np.ndarray, sites: np.ndarray, h: np.ndarray, out: np.ndarray
-) -> None:
-    """Energy of each row's landscape at that row's sites, into `out`.
-
-    A p-spin row is a disorder, evaluated at its own sites. A REM key gives
-    site x the trap depth ``gaussian_from_hash(key, x)``, the energy a
-    `RemDisorder` with that key assigns to x; it is computed in place, with
-    the uint64 work array `h` holding key + site.
-    """
-    if keys.dtype == object:
-        for i, disorder in enumerate(keys):
-            out[i] = disorder.energy_of_bits(sites[i])
-        return
-    np.add(sites, keys[:, None], out=h)
-    gaussian_from_sum(h, out)
-
-
 def _clock_series(
     keys: np.ndarray,
     sites: np.ndarray,
     clock: np.ndarray,
     root: float,
-    waits_gen: np.random.Generator,
+    floor: int,
+    wait_gen: np.random.Generator,
     h: np.ndarray,
     out: np.ndarray,
+    deep: np.ndarray,
 ) -> np.ndarray:
     """Clock value after every step of one chunk, written into `out`.
 
-    The site energies come first (`_site_energies`); the exponential waits
-    are then drawn from `waits_gen` into `h`. `h` (uint64) and `out`
-    (float64) are work arrays of the chunk's shape; the stages run in
-    place, in the order of ``clock + cumsum(waits * exp(root * energy))``.
+    Each step adds ``wait * exp(root * energy)``, the waits drawn from
+    `wait_gen` in step order, and the series is ``clock + cumsum``. A
+    p-spin row is a disorder, evaluated at its own sites, and every step
+    draws a wait. A REM key gives site x the hash ``mix64(key + x)``, whose
+    `gaussian_from_bits` depth is the energy a `RemDisorder` with that key
+    assigns to x. Only deep sites, whose hash is at least `floor`
+    (`_deep_floor`), get a depth and a wait; the others add 0. `h`
+    (uint64), `out` (float64) and `deep` (bool) are work arrays of the
+    chunk's shape; the deep steps' hashes, depths and waits are packed at
+    the front of `out` and `h`, so the stages run in place.
     """
-    _site_energies(keys, sites, h, out)
-    out *= root
-    np.exp(out, out=out)
-    out *= waits_gen.standard_exponential(out=h.view(np.float64))
+    if keys.dtype == object:
+        for i, disorder in enumerate(keys):
+            out[i] = disorder.energy_of_bits(sites[i])
+        inc, spare, idx = out, h.view(np.float64), None
+    else:
+        np.add(sites, keys[:, None], out=h)
+        mix64_inplace(h, out.view(np.uint64))
+        np.greater_equal(h, np.uint64(floor), out=deep)
+        idx = np.flatnonzero(deep)
+        # the indices are in range; "clip" spares the copy "raise" makes
+        bits = np.take(h, idx, out=out.reshape(-1).view(np.uint64)[: idx.size], mode="clip")
+        inc = gaussian_from_bits(bits, h.reshape(-1).view(np.float64)[: idx.size])
+        spare = bits.view(np.float64)
+    inc *= root
+    np.exp(inc, out=inc)
+    inc *= wait_gen.standard_exponential(out=spare)
+    if idx is not None:
+        out.fill(0.0)
+        out.reshape(-1)[idx] = inc
     np.cumsum(out, axis=1, out=out)
     out += clock[:, None]
     return out
 
 
-def _kernel_scales(params: ModelParams, t: float, s: float, chunk: int | None):
-    """(nu, chunk, targets, root) shared by the aging and frozen kernels."""
+def _deep_level(root: float, target1: float, step_cap: int, dropped: float) -> float:
+    """Energy z0 below which a REM visit may add nothing to the clock.
+
+    A visit at a standard normal energy X adds ``e * exp(root * X)`` with a
+    unit exponential e, and its shallow part has mean
+    ``E[exp(root X) 1{X < z0}] = exp(root**2 / 2) * Phi(z0 - root)``. So
+    ``z0 = root + Phi^-1(dropped * target1 / (step_cap * exp(root**2 / 2)))``
+    drops at most ``dropped * target1`` of clock in expectation over the
+    visits up to the step cap. z0 is clamped to at most `root`, and is -inf,
+    keeping every site, when ``dropped * target1`` is 0.
+    """
+    if not 0.0 <= dropped < 1.0:
+        raise ValueError(f"dropped mass must lie in [0, 1), got {dropped!r}")
+    if dropped == 0.0 or target1 == 0.0:
+        return -math.inf
+    log_u = math.log(dropped) + math.log(target1) - math.log(step_cap) - root * root / 2.0
+    return root + min(0.0, float(ndtri_exp(min(log_u, 0.0))))
+
+
+def _deep_floor(z0: float) -> int:
+    """Least hash whose `gaussian_from_bits` depth is at least `z0`.
+
+    The depth is nondecreasing in the hash and reads its top 53 bits, so a
+    bisection on those bits gives the floor as a multiple of 2**11, and
+    ``hash >= floor`` holds exactly when the depth is at least z0. The
+    floor never passes the top value of those bits, so some sites always
+    stay; z0 = -inf gives 0, which keeps every site.
+    """
+    bits, depth = np.empty(1, dtype=np.uint64), np.empty(1)
+    lo, hi = 0, (1 << 53) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bits[0] = mid << 11
+        if gaussian_from_bits(bits, depth)[0] >= z0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo << 11
+
+
+def _kernel_scales(
+    params: ModelParams,
+    t: float,
+    s: float,
+    chunk: int | None,
+    step_cap: int,
+    dropped: float,
+):
+    """(nu, chunk, targets, root, floor) shared by the aging and frozen
+    kernels; `floor` is the REM deep floor that drops at most `dropped`
+    times the first target (`_deep_level`), 0 for ``dropped == 0``."""
     nu = params.nu()
     if chunk is None:
         chunk = max(nu, (2048 // nu) * nu)
@@ -211,7 +277,9 @@ def _kernel_scales(params: ModelParams, t: float, s: float, chunk: int | None):
         raise ValueError("chunk length must be a multiple of nu")
     wall = math.exp(params.gamma * params.N)
     targets = (t * wall, (t + s) * wall)
-    return nu, chunk, targets, params.beta * math.sqrt(params.N)
+    root = params.beta * math.sqrt(params.N)
+    floor = _deep_floor(_deep_level(root, targets[0], step_cap, dropped))
+    return nu, chunk, targets, root, floor
 
 
 def _aging_kernel(
@@ -223,6 +291,7 @@ def _aging_kernel(
     step_cap: int,
     mode: str = "rem",
     chunk: int | None = None,
+    dropped: float = _DROPPED_MASS,
 ):
     """Simulate `replicas` independent clocks up to the second crossing.
 
@@ -234,6 +303,8 @@ def _aging_kernel(
     waits from that one generator, flips first in every chunk, and its
     chunks keep a fixed element budget (`_chunk_length`). So the results
     depend on ``_BATCH`` and the chunk length but not on the worker count.
+    REM visits below the deep level of `dropped` add nothing to the clock
+    (`_deep_level`); ``dropped=0`` is the exact kernel.
 
     Returns (dist, excluded, vstar, range_undetermined):
       dist       -- Hamming distance between the sites occupied at the two
@@ -250,14 +321,16 @@ def _aging_kernel(
             raise ValueError("p-spin kernel needs beta > 0")
     elif mode != "rem":
         raise ValueError(f"unknown mode {mode!r}")
-    nu, chunk, targets, root = _kernel_scales(params, t, s, chunk)
+    nu, chunk, targets, root, floor = _kernel_scales(
+        params, t, s, chunk, step_cap, dropped
+    )
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
 
     def job(lo: int):
         ids = np.arange(lo, min(lo + _BATCH, replicas), dtype=np.uint64)
         gen = batch_rng.substream(lo).generator()
         return _aging_batch(_landscapes(params, mode, key_rng, ids), gen, gen,
-                            params.N, nu, root, targets, step_cap, chunk)
+                            params.N, nu, root, targets, step_cap, chunk, floor)
 
     parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, _BATCH)])
     dist, excluded, vstar = (np.concatenate(col) for col in zip(*parts))
@@ -274,6 +347,7 @@ def _aging_batch(
     targets: tuple[float, float],
     step_cap: int,
     chunk: int,
+    floor: int,
     shared_walk: bool = False,
 ):
     """One batch of clocks: (dist, excluded, vstar) of its replicas.
@@ -281,10 +355,12 @@ def _aging_batch(
     `keys` holds the batch's per-replica environments, one row each (see
     `_landscapes`); retired replicas drop their rows. Each chunk draws
     its flips from `walk_gen`, then its waits from `wait_gen`, so the result
-    depends on nothing outside the batch. With `shared_walk` every replica
-    follows one jump chain (one walker row, broadcast against the key rows)
-    and only the traps and waits differ between replicas. Replicas retire
-    as soon as their second crossing is known, in either mode.
+    depends on nothing outside the batch. REM rows skip the sites whose
+    hash is below `floor` (`_clock_series`); floor 0 keeps every site.
+    With `shared_walk` every replica follows one jump chain (one walker
+    row, broadcast against the key rows) and only the traps and waits
+    differ between replicas. Replicas retire as soon as their second
+    crossing is known, in either mode.
     """
     target1, target2 = targets
     n = keys.shape[0]
@@ -299,6 +375,7 @@ def _aging_batch(
     walk_buf = np.empty(budget + n, dtype=np.uint64)
     hash_buf = np.empty(budget, dtype=np.uint64)
     series_buf = np.empty(budget)
+    deep_buf = np.empty(budget, dtype=bool)
 
     pos = np.zeros(1 if shared_walk else n, dtype=np.uint64)
     clock = np.zeros(n)
@@ -316,8 +393,9 @@ def _aging_batch(
         sites = np.broadcast_to(walk[:, :-1], (n, length))
         size = n * length
         series = _clock_series(
-            keys, sites, clock, root, wait_gen,
+            keys, sites, clock, root, floor, wait_gen,
             hash_buf[:size].reshape(n, length), series_buf[:size].reshape(n, length),
+            deep_buf[:size].reshape(n, length),
         )
 
         # the series rises along each row, so a row crossed a target in
@@ -404,6 +482,7 @@ def _frozen_kernel(
     rng: RngStream,
     step_cap: int,
     chunk: int | None = None,
+    dropped: float = _DROPPED_MASS,
 ):
     """REM kernel with the jump chain frozen within each group.
 
@@ -411,17 +490,19 @@ def _frozen_kernel(
     walk drawn from substream 1 of the group's stream, while the traps
     (keys from substream 3) and the exponential marks (substream 2) are
     per replica. Finished replicas retire, as in the aging kernel. Groups
-    run on up to one thread per core. Returns a list of (dist, excluded)
-    pairs, one per group.
+    run on up to one thread per core; `dropped` is as in `_aging_kernel`.
+    Returns a list of (dist, excluded) pairs, one per group.
     """
-    nu, chunk, targets, root = _kernel_scales(params, t, s, chunk)
+    nu, chunk, targets, root, floor = _kernel_scales(
+        params, t, s, chunk, step_cap, dropped
+    )
     ids = np.arange(replicas_per_group, dtype=np.uint64)
     jobs = []
     for g in range(groups):
         grng = rng.substream(100 + g)
         jobs.append((_landscapes(params, "rem", grng.substream(3), ids),
                      grng.substream(1).generator(), grng.substream(2).generator(),
-                     params.N, nu, root, targets, step_cap, chunk, True))
+                     params.N, nu, root, targets, step_cap, chunk, floor, True))
     return [(dist, excluded) for dist, excluded, _ in _run_jobs(_aging_batch, jobs)]
 
 

@@ -62,17 +62,15 @@ def mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def gaussian_from_sum(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Standard normals from uint64 hash inputs `h`, written into `out`.
+def gaussian_from_bits(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Standard normals from uint64 random bits `h`, written into `out`.
 
-    One SplitMix64 round turns each input into 64 random bits; the top 53
-    give a uniform offset by half a unit, so it lies strictly inside (0, 1),
-    and the normal quantile `ndtri` maps it to a standard normal. `out` is
-    a float64 array of h's shape and doubles as the round's work array; `h`
-    is overwritten. Returns `out`. This is the in-place body of
-    :func:`gaussian_from_hash`, for callers that hold their own buffers.
+    The top 53 bits give a uniform offset by half a unit, so it lies
+    strictly inside (0, 1), and the normal quantile `ndtri` maps it to a
+    standard normal. The map is nondecreasing in `h`, so a threshold on
+    the normal is a threshold on the bits. `h` is overwritten; returns
+    `out`, a float64 array of h's shape.
     """
-    mix64_inplace(h, out.view(np.uint64))
     np.right_shift(h, np.uint64(11), out=h)
     np.add(h, 0.5, out=out)
     out *= 2.0**-53
@@ -82,12 +80,13 @@ def gaussian_from_sum(h: np.ndarray, out: np.ndarray) -> np.ndarray:
 def gaussian_from_hash(key, index) -> np.ndarray:
     """Standard normal as a pure function of (key, index).
 
-    The input of :func:`gaussian_from_sum` is ``index + key`` (mod 2**64),
-    in a fresh array, so `index` is never written. Repeated queries of the
-    same (key, index) are bit-identical, distinct indices are independent
-    for statistical purposes. `key` may be a scalar or an array
-    broadcastable against `index`; a 0-d `index` and scalar key give a 0-d
-    array.
+    One SplitMix64 round turns ``index + key`` (mod 2**64), summed in a
+    fresh array so that `index` is never written, into 64 random bits,
+    which :func:`gaussian_from_bits` maps to a standard normal. Repeated
+    queries of the same (key, index) are bit-identical, distinct indices
+    are independent for statistical purposes. `key` may be a scalar or an
+    array broadcastable against `index`; a 0-d `index` and scalar key give
+    a 0-d array.
     """
     idx = np.asarray(index, dtype=np.uint64)
     if isinstance(key, (int, np.integer)):
@@ -96,7 +95,9 @@ def gaussian_from_hash(key, index) -> np.ndarray:
         key = np.asarray(key, dtype=np.uint64)
     h = np.empty(np.broadcast_shapes(idx.shape, np.shape(key)), dtype=np.uint64)
     np.add(idx, key, out=h)
-    return gaussian_from_sum(h, np.empty(h.shape))
+    out = np.empty(h.shape)
+    mix64_inplace(h, out.view(np.uint64))
+    return gaussian_from_bits(h, out)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtri
 
 from trapclock import aging
@@ -18,8 +19,14 @@ from trapclock.aging import (
     estimate_range_miss,
     hamming_u64,
 )
-from trapclock.clock import simulate_clock
-from trapclock.core import ModelParams, RngStream, mix64_array
+from trapclock.clock import clock_from_log_increments, simulate_clock
+from trapclock.core import (
+    ModelParams,
+    RngStream,
+    gaussian_from_bits,
+    gaussian_from_hash,
+    mix64_array,
+)
 from trapclock.hamiltonian import PSpinDisorder, RemDisorder
 from trapclock.hypercube import SpinConfig
 from trapclock.stable import arcsine_cdf
@@ -29,6 +36,8 @@ from trapclock.stable import arcsine_cdf
 PARAMS = ModelParams(N=12, p=3, beta=2.0, gamma=2.0, horizon_T=2.0)
 # the aging CLI preset at its seed, alpha = 1/2, in p-spin mode
 PSPIN = ModelParams(N=10, p=3, beta=1.5, gamma=1.125, seed=11)
+# the REM point of acceptance criterion 7, alpha = 1/2
+CRITERION_7 = ModelParams(N=20, p=3, beta=2.0, gamma=2.0, horizon_T=2.5)
 
 
 @pytest.fixture(scope="module")
@@ -231,31 +240,40 @@ def test_hamming_u64_matches_bit_count():
 
 def test_chunk_stages_match_allocating_reference():
     # the in-place walk and clock series against the fresh-array form they
-    # replace: same draws, same operations in the same order, same bytes
+    # replace: same draws, same operations in the same order, same bytes;
+    # floor 0 keeps every site, a deep floor weights only the sites hashed
+    # at or above it and draws their waits in step order
     N, n, chunk = 20, 5, 36
     root = 2.0 * math.sqrt(N)
-    ref_gen = RngStream(41, 23).generator()
-    gen = RngStream(41, 23).generator()
     keys = aging._landscapes(PARAMS, "rem", RngStream(41, 24), np.arange(n))
     pos = np.random.default_rng(3).integers(0, 2**N, size=n, dtype=np.uint64)
     clock = np.linspace(0.0, 2.0, n)
+    for z0 in (-math.inf, 1.0):
+        floor = aging._deep_floor(z0)
+        ref_gen = RngStream(41, 23).generator()
+        gen = RngStream(41, 23).generator()
 
-    flips = ref_gen.integers(0, N, size=(n, chunk)).astype(np.uint64)
-    waits = ref_gen.standard_exponential(size=(n, chunk))
-    pos_after = pos[:, None] ^ np.bitwise_xor.accumulate(np.uint64(1) << flips, axis=1)
-    sites = np.concatenate([pos[:, None], pos_after[:, :-1]], axis=1)
-    u = ((mix64_array(sites + keys[:, None]) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    want = clock[:, None] + np.cumsum(waits * np.exp(root * ndtri(u)), axis=1)
+        flips = ref_gen.integers(0, N, size=(n, chunk)).astype(np.uint64)
+        pos_after = pos[:, None] ^ np.bitwise_xor.accumulate(np.uint64(1) << flips, axis=1)
+        sites = np.concatenate([pos[:, None], pos_after[:, :-1]], axis=1)
+        h = mix64_array(sites + keys[:, None])
+        deep = h >= np.uint64(floor)
+        assert deep.any() and deep.all() == (floor == 0)
+        u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        inc = np.zeros((n, chunk))
+        inc[deep] = ref_gen.standard_exponential(size=deep.sum()) * np.exp(root * ndtri(u[deep]))
+        want = clock[:, None] + np.cumsum(inc, axis=1)
 
-    walk = np.empty((n, chunk + 1), dtype=np.uint64)
-    aging._walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
-    got = aging._clock_series(
-        keys, walk[:, :-1], clock, root, gen,
-        np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
-    )
-    assert np.array_equal(walk[:, :-1], sites)
-    assert np.array_equal(walk[:, -1], pos_after[:, -1])
-    assert np.array_equal(got, want)
+        walk = np.empty((n, chunk + 1), dtype=np.uint64)
+        aging._walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
+        got = aging._clock_series(
+            keys, walk[:, :-1], clock, root, floor, gen,
+            np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
+            np.empty((n, chunk), dtype=bool),
+        )
+        assert np.array_equal(walk[:, :-1], sites)
+        assert np.array_equal(walk[:, -1], pos_after[:, -1])
+        assert np.array_equal(got, want)
 
 
 def test_pspin_chunk_stage_reads_each_rows_landscape():
@@ -272,8 +290,9 @@ def test_pspin_chunk_stage_reads_each_rows_landscape():
     )
     want = clock[:, None] + np.cumsum(waits * np.exp(root * energies), axis=1)
     got = aging._clock_series(
-        keys, sites, clock, root, RngStream(41, 33).generator(),
+        keys, sites, clock, root, 0, RngStream(41, 33).generator(),
         np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
+        np.empty((n, chunk), dtype=bool),
     )
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -307,8 +326,10 @@ def test_chunks_keep_the_element_budget(monkeypatch, shared):
     # longer chunks, and the last chunk stops at the first block boundary
     # past the cap
     n0, chunk = 32, 8
-    nu, chunk, targets, root = aging._kernel_scales(PARAMS, 1.0, 1.0, chunk)
     cap = aging._step_cap(PARAMS, 2.0, 4.0)
+    nu, chunk, targets, root, floor = aging._kernel_scales(
+        PARAMS, 1.0, 1.0, chunk, cap, aging._DROPPED_MASS
+    )
     shapes = []
     clock_series = aging._clock_series
 
@@ -322,7 +343,7 @@ def test_chunks_keep_the_element_budget(monkeypatch, shared):
     _, excluded, _ = aging._aging_batch(
         aging._landscapes(PARAMS, "rem", stream.substream(3), np.arange(n0)),
         stream.substream(1).generator(), stream.substream(2).generator(),
-        PARAMS.N, nu, root, targets, cap, chunk, shared,
+        PARAMS.N, nu, root, targets, cap, chunk, floor, shared,
     )
     assert 0 < excluded.sum() < n0 // 2
     for rows, length in shapes:
@@ -345,10 +366,12 @@ def test_no_worker_outlives_a_call(monkeypatch):
 def test_shared_walk_batch_matches_per_replica_for_one_replica():
     # with one replica the broadcast walker row is that replica's own walk,
     # so both modes draw and compute the same; starved caps cover exclusion
-    nu, chunk, targets, root = aging._kernel_scales(PARAMS, 1.0, 1.0, None)
     keys = aging._landscapes(PARAMS, "rem", RngStream(41, 28), np.arange(4))
     for factor in (8.0, 0.3):
         cap = aging._step_cap(PARAMS, 2.0, factor)
+        nu, chunk, targets, root, floor = aging._kernel_scales(
+            PARAMS, 1.0, 1.0, None, cap, aging._DROPPED_MASS
+        )
         for i in range(keys.size):
             runs = []
             for shared in (False, True):
@@ -356,22 +379,36 @@ def test_shared_walk_batch_matches_per_replica_for_one_replica():
                 out = aging._aging_batch(
                     keys[i : i + 1], stream.substream(1).generator(),
                     stream.substream(2).generator(), PARAMS.N, nu, root, targets,
-                    cap, chunk, shared,
+                    cap, chunk, floor, shared,
                 )
                 runs.append([a.tobytes() for a in out])
             assert runs[0] == runs[1]
 
 
-def _batch_distance_matching_simulate_clock(params, keys, disorder, stream, chunks):
+def _batch_distance_matching_simulate_clock(params, keys, disorder, stream, chunks,
+                                            dropped=0.0):
     # one replica, flips and waits on separate generators: the kernel's
     # crossing sites and block value must be those of simulate_clock on the
-    # same landscape with the same streams; returns the crossing distance
-    nu, chunk, targets, root = aging._kernel_scales(params, 0.2, 1.0, None)
+    # same landscape with the same streams; returns the crossing distance.
+    # Above a dropped mass of 0 the reference clock gives the steps below
+    # the deep floor a -inf log increment and the deep steps the waits
+    # stream's draws in step order
+    nu, chunk, *_ = aging._kernel_scales(params, 0.2, 1.0, None, 1, 0.0)
+    cap = chunks * chunk
+    _, _, targets, root, floor = aging._kernel_scales(params, 0.2, 1.0, chunk, cap, dropped)
     dist, excluded, vstar = aging._aging_batch(
         keys, stream.substream(1).generator(), stream.substream(2).generator(),
-        params.N, nu, root, targets, chunks * chunk, chunk,
+        params.N, nu, root, targets, cap, chunk, floor,
     )
-    traj, clock, _ = simulate_clock(disorder, params, chunks * chunk, stream)
+    traj, clock, energies = simulate_clock(disorder, params, cap, stream)
+    if floor:
+        level = gaussian_from_bits(np.array([floor], dtype=np.uint64), np.empty(1))[0]
+        deep = energies[:-1] >= level
+        assert 0 < deep.mean() < 1
+        waits = stream.substream(2).generator().standard_exponential(int(deep.sum()))
+        log_incs = np.full(cap, -np.inf)
+        log_incs[deep] = root * energies[:-1][deep] + np.log(waits)
+        clock = clock_from_log_increments(log_incs)
     values = clock.values
     k1, k2 = (int(np.argmax(values > target)) for target in targets)
     assert not excluded[0] and 0 < k1 <= k2
@@ -411,15 +448,106 @@ def test_rem_batch_matches_simulate_clock():
     assert max(dists) > 0
 
 
+def test_rem_batch_matches_masked_clock_at_default_floor():
+    # the default floor drops the visits below the deep level, so the
+    # kernel must match a clock in which those steps add nothing
+    key_stream = RngStream(41, 34)
+    keys = aging._landscapes(PARAMS, "rem", key_stream, np.arange(3))
+    dists = []
+    for i in range(3):
+        stream = RngStream(41, 36).substream(i)
+        disorder = RemDisorder(PARAMS.N, key_stream.substream(i))
+        dists.append(_batch_distance_matching_simulate_clock(
+            PARAMS, keys[i : i + 1], disorder, stream, 32, aging._DROPPED_MASS
+        ))
+    assert max(dists) > 0
+
+
 def test_rem_stream_is_pinned():
     # SHA-256 of the integer outputs of a fixed aging and frozen run; a
-    # change that alters the REM aging stream on purpose updates the digest
+    # change that alters the REM aging stream on purpose updates a digest.
+    # Dropped mass 0 keeps every site, so it must give the stream of the
+    # exact kernel, recorded before the deep floor existed
     cap = aging._step_cap(PARAMS, 2.0, 8.0)
-    dist, excluded, _, _ = aging._aging_kernel(PARAMS, 1, 1, 300, RngStream(41, 40), cap)
-    frozen = aging._frozen_kernel(PARAMS, 1, 1, 20, 3, RngStream(41, 41), cap)
-    arrays = [dist, excluded, *(a for pair in frozen for a in pair)]
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert digest == "eb90b086b9ea72b09d4a54b674d58234b334aa73efbc6d5f9c2c1674dd78aacd"
+    digests = []
+    for dropped in (0.0, aging._DROPPED_MASS):
+        dist, excluded, _, _ = aging._aging_kernel(
+            PARAMS, 1, 1, 300, RngStream(41, 40), cap, dropped=dropped
+        )
+        frozen = aging._frozen_kernel(PARAMS, 1, 1, 20, 3, RngStream(41, 41), cap,
+                                      dropped=dropped)
+        arrays = [dist, excluded, *(a for pair in frozen for a in pair)]
+        digests.append(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+    assert digests == [
+        "eb90b086b9ea72b09d4a54b674d58234b334aa73efbc6d5f9c2c1674dd78aacd",
+        "7afd6ed69703d77009f68c21f341fa10b0ddc1d52313b922af9b9c66280c05fd",
+    ]
+
+
+def test_deep_floor_keeps_exactly_the_deep_sites():
+    # hash >= floor iff the site's depth is at least the depth at the floor,
+    # and the floor is the least such hash: one cell lower falls below z0
+    key = RngStream(41, 50).hash_key()
+    sites = np.random.default_rng(6).integers(0, 2**63, size=200_000, dtype=np.uint64)
+    depths = gaussian_from_hash(key, sites)
+    hashes = mix64_array(sites + np.uint64(key))
+    cap = aging._step_cap(CRITERION_7, 2.0, 8.0)
+    *_, default = aging._kernel_scales(CRITERION_7, 1.0, 1.0, None, cap, aging._DROPPED_MASS)
+    for floor in [aging._deep_floor(z0) for z0 in (-1.5, 0.0, 0.05, 1.85, 3.0)] + [default]:
+        kept = hashes >= np.uint64(floor)
+        assert 0 < kept.sum() < kept.size
+        at_floor, below = gaussian_from_bits(
+            np.array([floor, floor - 2048], dtype=np.uint64), np.empty(2)
+        )
+        assert np.array_equal(kept, depths >= at_floor)
+        assert depths[~kept].max() <= below < at_floor
+    z0 = aging._deep_level(2 * math.sqrt(20), math.exp(40), cap, aging._DROPPED_MASS)
+    assert default == aging._deep_floor(z0) and 1.8 < z0 < 1.9
+
+
+@pytest.mark.parametrize(
+    "root, target1, cap, dropped",
+    [(2 * math.sqrt(20), math.exp(40), 1_600_000, 1e-6), (2 * math.sqrt(12), 0.2 * math.exp(24),
+     65_536, 1e-6), (1.0, 3.0, 1000, 1e-3), (0.0, 1.0, 50, 1e-9)],
+)
+def test_deep_level_bounds_the_dropped_mass(root, target1, cap, dropped):
+    # cap * E[exp(root Z) 1{Z < z0}] over a standard normal Z, by quadrature,
+    # is the dropped mass times the first target
+    z0 = aging._deep_level(root, target1, cap, dropped)
+    assert z0 < root
+    mass, err = quad(lambda z: math.exp(root * z - z * z / 2) / math.sqrt(2 * math.pi),
+                     -np.inf, z0, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert cap * mass == pytest.approx(dropped * target1, rel=1e-10)
+
+
+def test_beta_zero_keeps_nearly_every_site():
+    params = ModelParams(N=10, p=3, beta=0.0, gamma=0.5, horizon_T=3.0)
+    cap = aging._step_cap(params, 2.0, 8.0)
+    *_, floor = aging._kernel_scales(params, 1.0, 1.0, None, cap, aging._DROPPED_MASS)
+    assert 0 < floor <= 1e-6 * 2.0**64
+
+
+def test_deep_level_never_drops_every_site():
+    # a step cap too short to reach the dropped mass clamps z0 at root; a
+    # level above every finite depth still keeps the top cell; no mass keeps
+    # every site
+    assert aging._deep_level(1.0, 10.0, 1, 0.5) == 1.0
+    assert aging._deep_level(0.0, 10.0, 1, 0.5) == 0.0
+    assert aging._deep_floor(20.0) == ((1 << 53) - 1) << 11
+    assert aging._deep_level(3.0, 10.0, 100, 0.0) == -math.inf
+    assert aging._deep_level(3.0, 0.0, 100, 1e-6) == -math.inf
+    assert aging._deep_floor(-math.inf) == 0
+
+
+@pytest.mark.parametrize("dropped", [-1e-12, 1.0, 2.0, math.nan])
+def test_dropped_mass_outside_its_range_is_refused(dropped):
+    cap = aging._step_cap(PARAMS, 2.0, 8.0)
+    with pytest.raises(ValueError, match="dropped mass"):
+        aging._deep_level(1.0, 1.0, cap, dropped)
+    with pytest.raises(ValueError, match="dropped mass"):
+        aging._aging_kernel(PARAMS, 1, 1, 4, RngStream(41, 51), cap, dropped=dropped)
+    with pytest.raises(ValueError, match="dropped mass"):
+        aging._frozen_kernel(PARAMS, 1, 1, 4, 2, RngStream(41, 51), cap, dropped=dropped)
 
 
 def test_pspin_landscapes_are_keyed_by_replica_index():
