@@ -306,13 +306,11 @@ def _aging_kernel(
     REM visits below the deep level of `dropped` add nothing to the clock
     (`_deep_level`); ``dropped=0`` is the exact kernel.
 
-    Returns (dist, excluded, vstar, range_undetermined):
-      dist       -- Hamming distance between the sites occupied at the two
-                    crossing times, -1 where the budget ran out first
-      excluded   -- mask of budget-exhausted replicas (aging event unknown)
-      vstar      -- first coarse-block clock value above t*e**(gamma*N),
-                    NaN where no block boundary got that far in budget
-      range_und  -- mask where vstar is NaN
+    Returns (dist, excluded, vstar), one entry per replica, as in
+    `_aging_batch`: the crossing distance (-1 where the step cap came
+    first), the mask of the replicas the cap cut off, and the first
+    coarse-block clock value above t*e**(gamma*N) (NaN where no block
+    boundary got that far).
     """
     if mode == "pspin":
         if params.N**params.p > 2_000_000:
@@ -333,8 +331,7 @@ def _aging_kernel(
                             params.N, nu, root, targets, step_cap, chunk, floor)
 
     parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, _BATCH)])
-    dist, excluded, vstar = (np.concatenate(col) for col in zip(*parts))
-    return dist, excluded, vstar, np.isnan(vstar)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _aging_batch(
@@ -353,21 +350,28 @@ def _aging_batch(
     """One batch of clocks: (dist, excluded, vstar) of its replicas.
 
     `keys` holds the batch's per-replica environments, one row each (see
-    `_landscapes`); retired replicas drop their rows. Each chunk draws
-    its flips from `walk_gen`, then its waits from `wait_gen`, so the result
-    depends on nothing outside the batch. REM rows skip the sites whose
-    hash is below `floor` (`_clock_series`); floor 0 keeps every site.
-    With `shared_walk` every replica follows one jump chain (one walker
-    row, broadcast against the key rows) and only the traps and waits
-    differ between replicas. Replicas retire as soon as their second
-    crossing is known, in either mode.
+    `_landscapes`). Each chunk draws its flips from `walk_gen`, then its
+    waits from `wait_gen`, so the result depends on nothing outside the
+    batch. REM rows skip the sites whose hash is below `floor`
+    (`_clock_series`); floor 0 keeps every site. With `shared_walk` every
+    replica follows one jump chain (one walker row, broadcast against the
+    key rows) and only the traps and waits differ between replicas.
+    Replicas retire as soon as their second crossing is known, in either
+    mode: the chunk runs only the `live` rows, and the crossings are kept
+    by replica. Returns, per replica:
+      dist      -- Hamming distance between the sites occupied at the two
+                   crossing times, -1 where the step cap came first
+      excluded  -- mask of the replicas the step cap cut off
+      vstar     -- first coarse-block clock value above the first target,
+                   NaN where no block boundary got that far
     """
     target1, target2 = targets
     n = keys.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
-    excluded = np.zeros(n, dtype=bool)
+    site1 = np.zeros(n, dtype=np.uint64)
+    site2 = np.zeros(n, dtype=np.uint64)
+    have1 = np.zeros(n, dtype=bool)
+    have2 = np.zeros(n, dtype=bool)
     vstar = np.full(n, np.nan)
-    rows = np.arange(n)
     # flat work buffers holding a fixed element budget: the full batch runs
     # `chunk` steps per chunk, and as replicas retire the survivors run
     # longer chunks in the same memory, not more of them
@@ -377,25 +381,21 @@ def _aging_batch(
     series_buf = np.empty(budget)
     deep_buf = np.empty(budget, dtype=bool)
 
+    live = np.arange(n)
     pos = np.zeros(1 if shared_walk else n, dtype=np.uint64)
     clock = np.zeros(n)
-    site1 = np.zeros(n, dtype=np.uint64)
-    site2 = np.zeros(n, dtype=np.uint64)
-    have1 = np.zeros(n, dtype=bool)
-    have2 = np.zeros(n, dtype=bool)
-    vloc = np.full(n, np.nan)
     steps_done = 0
-
-    while True:
-        length = _chunk_length(n, budget, chunk, nu, step_cap - steps_done)
+    while live.size and steps_done < step_cap:
+        rows = live.size
+        length = _chunk_length(rows, budget, chunk, nu, step_cap - steps_done)
         walk = walk_buf[: pos.size * (length + 1)].reshape(pos.size, length + 1)
         _walk_into(walk, pos, walk_gen.integers(0, N, size=(pos.size, length)))
-        sites = np.broadcast_to(walk[:, :-1], (n, length))
-        size = n * length
+        sites = np.broadcast_to(walk[:, :-1], (rows, length))
+        size = rows * length
         series = _clock_series(
             keys, sites, clock, root, floor, wait_gen,
-            hash_buf[:size].reshape(n, length), series_buf[:size].reshape(n, length),
-            deep_buf[:size].reshape(n, length),
+            hash_buf[:size].reshape(rows, length), series_buf[:size].reshape(rows, length),
+            deep_buf[:size].reshape(rows, length),
         )
 
         # the series rises along each row, so a row crossed a target in
@@ -403,47 +403,21 @@ def _aging_batch(
         # searched. The chunk ends on a block boundary, so the first
         # boundary above target1 is the one closing the first crossing's
         # block: that value is the coarse clock's vstar.
-        r1, j1 = _first_crossing(series, have1, target1)
-        site1[r1] = sites[r1, j1]
-        vloc[r1] = series[r1, j1 // nu * nu + nu - 1]
-        have1[r1] = True
-        r2, j2 = _first_crossing(series, have2, target2)
-        site2[r2] = sites[r2, j2]
-        have2[r2] = True
-
-        clock = series[:, -1].copy()
-        pos = walk[:, -1].copy()
+        r1, j1 = _first_crossing(series, have1[live], target1)
+        site1[live[r1]] = sites[r1, j1]
+        vstar[live[r1]] = series[r1, j1 // nu * nu + nu - 1]
+        have1[live[r1]] = True
+        r2, j2 = _first_crossing(series, have2[live], target2)
+        site2[live[r2]] = sites[r2, j2]
+        have2[live[r2]] = True
         steps_done += length
 
-        done = have2
-        if steps_done >= step_cap:
-            d = hamming_u64(site1[done], site2[done])
-            dist[rows[done]] = d
-            vstar[rows] = vloc
-            excluded[rows[~done]] = True
-            break
-        if done.all():
-            dist[rows] = hamming_u64(site1, site2)
-            vstar[rows] = vloc
-            break
-        if done.any():
-            keep = ~done
-            d = hamming_u64(site1[done], site2[done])
-            dist[rows[done]] = d
-            vstar[rows[done]] = vloc[done]
-            rows = rows[keep]
-            keys = keys[keep]
-            if not shared_walk:
-                pos = pos[keep]
-            clock = clock[keep]
-            site1 = site1[keep]
-            site2 = site2[keep]
-            have1 = have1[keep]
-            have2 = have2[keep]
-            vloc = vloc[keep]
-            n = rows.size
+        keep = ~have2[live]
+        live, keys, clock = live[keep], keys[keep], series[keep, -1]
+        pos = walk[:, -1].copy() if shared_walk else walk[keep, -1]
 
-    return dist, excluded, vstar
+    dist = np.where(have2, hamming_u64(site1, site2), -1)
+    return dist, ~have2, vstar
 
 
 def _chunk_length(rows: int, budget: int, chunk: int, nu: int, remaining: int) -> int:
@@ -542,6 +516,33 @@ def _assemble(
     )
 
 
+def _prepare(
+    params: ModelParams,
+    t: float,
+    s: float,
+    replicas: int,
+    rng: RngStream | None,
+    substream: int,
+    step_cap_factor: float,
+    groups: int = 2,
+) -> tuple[RngStream, int]:
+    """Check an estimator call; return its stream and its step cap.
+
+    The stream defaults to substream `substream` of the model's stream;
+    `groups` is the frozen-chain estimator's group count.
+    """
+    if t < 0 or s < 0 or t + s <= 0:
+        raise ValueError("need t, s >= 0 and t + s > 0")
+    if replicas <= 0:
+        raise ValueError("replicas must be positive")
+    if groups < 2:
+        raise ValueError("need at least two groups for a spread estimate")
+    _check_kernel_domain(params)
+    if rng is None:
+        rng = params.stream().substream(substream)
+    return rng, _step_cap(params, t + s, step_cap_factor)
+
+
 def estimate_aging(
     params: ModelParams,
     t: float,
@@ -564,17 +565,9 @@ def estimate_aging(
     with t + s > 0; s == 0 is the degenerate check where both crossing
     times coincide and the estimate is exactly 1.
     """
-    if t < 0 or s < 0 or t + s <= 0:
-        raise ValueError("need t, s >= 0 and t + s > 0")
-    if replicas <= 0:
-        raise ValueError("replicas must be positive")
-    _check_kernel_domain(params)
-    if rng is None:
-        rng = params.stream().substream(3)
-
+    rng, cap = _prepare(params, t, s, replicas, rng, 3, step_cap_factor)
     eps_list = [epsilon] if np.isscalar(epsilon) else list(epsilon)
-    cap = _step_cap(params, t + s, step_cap_factor)
-    dist, excluded, _, _ = _aging_kernel(params, t, s, replicas, rng, cap, mode)
+    dist, excluded, _ = _aging_kernel(params, t, s, replicas, rng, cap, mode)
 
     valid = dist[~excluded]
     out = [
@@ -604,17 +597,8 @@ def estimate_aging_frozen(
     per-group means over sqrt(groups), which absorbs both the within-group
     binomial noise and the trajectory-to-trajectory variability.
     """
-    if t < 0 or s < 0 or t + s <= 0:
-        raise ValueError("need t, s >= 0 and t + s > 0")
-    if groups < 2:
-        raise ValueError("need at least two groups for a spread estimate")
-    _check_kernel_domain(params)
-    if rng is None:
-        rng = params.stream().substream(4)
-    cap = _step_cap(params, t + s, step_cap_factor)
-    per_group = _frozen_kernel(
-        params, t, s, replicas_per_group, groups, rng, cap
-    )
+    rng, cap = _prepare(params, t, s, replicas_per_group, rng, 4, step_cap_factor, groups)
+    per_group = _frozen_kernel(params, t, s, replicas_per_group, groups, rng, cap)
 
     thresh = epsilon * params.N / 2.0
     means, n_excluded = [], 0
@@ -651,15 +635,9 @@ def estimate_range_miss(
     estimate runs below the two-time one, and both converge to the same
     arcsine limit.
     """
-    if t < 0 or s < 0 or t + s <= 0:
-        raise ValueError("need t, s >= 0 and t + s > 0")
-    if replicas <= 0:
-        raise ValueError("replicas must be positive")
-    _check_kernel_domain(params)
-    if rng is None:
-        rng = params.stream().substream(5)
-    cap = _step_cap(params, t + s, step_cap_factor)
-    _, _, vstar, und = _aging_kernel(params, t, s, replicas, rng, cap, mode)
+    rng, cap = _prepare(params, t, s, replicas, rng, 5, step_cap_factor)
+    _, _, vstar = _aging_kernel(params, t, s, replicas, rng, cap, mode)
+    und = np.isnan(vstar)
 
     wall = math.exp(params.gamma * params.N)
     miss = vstar[~und] >= (t + s) * wall
@@ -683,20 +661,15 @@ def aging_curve(
     The arcsine prediction is increasing in the ratio, so the empirical
     curve should be monotone up to Monte Carlo noise.
     """
+    if not all(0.0 < theta < 1.0 for theta in ratios):
+        raise ValueError("ratios must lie strictly inside (0, 1)")
     if rng is None:
         rng = params.stream().substream(6)
-    out = []
-    for i, theta in enumerate(ratios):
-        if not 0.0 < theta < 1.0:
-            raise ValueError("ratios must lie strictly inside (0, 1)")
-        t = theta * total
-        out.append(
-            estimate_aging(
-                params, t, total - t, epsilon, replicas, mode=mode,
-                rng=rng.substream(10 + i),
-            )
-        )
-    return out
+    return [
+        estimate_aging(params, theta * total, total - theta * total, epsilon, replicas,
+                       mode=mode, rng=rng.substream(10 + i))
+        for i, theta in enumerate(ratios)
+    ]
 
 
 def aging_curve_csv(estimates: Sequence[AgingEstimate]) -> str:

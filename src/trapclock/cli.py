@@ -27,7 +27,6 @@ from .aging import aging_curve, aging_curve_csv, estimate_aging
 from .analysis import RateFunctionParams, upsilon, zeta
 from .blockprocess import block_scaling_constant, laplace_table_csv
 from .clock import (
-    InsufficientStepsError,
     coarse_grain_clock,
     rescale_clock,
     simulate_clock,
@@ -80,18 +79,12 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated numbers of type `kind` (float or int)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"bad float list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad int list {text!r}") from exc
+        raise CliError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 # ---------------------------------------------------------------- zeta
@@ -134,8 +127,8 @@ def _cmd_upsilon(args) -> int:
 # -------------------------------------------------------- block-laplace
 
 def _cmd_block_laplace(args) -> int:
-    n_list = _parse_ints(args.N_list)
-    u_list = _parse_floats(args.u)
+    n_list = _parse_list(args.N_list, int)
+    u_list = _parse_list(args.u, float)
     if not n_list or not u_list:
         raise CliError("need at least one N and one u")
     params = ModelParams(
@@ -498,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConclusive as exc:
         print(f"non-conclusive: {exc}", file=sys.stderr)
         return EXIT_NON_CONCLUSIVE
-    except (ValueError, InsufficientStepsError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -53,9 +53,6 @@ class ClockPath:
         with np.errstate(over="ignore"):
             return np.exp(self.log_values)
 
-    def log_increments(self) -> np.ndarray:
-        return self.log_incs
-
 
 def clock_from_log_increments(log_incs: np.ndarray) -> ClockPath:
     log_incs = np.asarray(log_incs, dtype=np.float64)
@@ -150,7 +147,6 @@ class RescaledClock:
     def value_at(self, t):
         k = self.step_index(t)
         out = np.exp(self.clock.log_values[k] - self.params.gamma * self.params.N)
-        out = np.where(np.isneginf(self.clock.log_values[k]), 0.0, out)
         return float(out) if np.ndim(t) == 0 else out
 
     def to_step_path(self, T: float) -> CadlagStepPath:
@@ -203,9 +199,7 @@ def coarse_grain_gap(clock: ClockPath, params: ModelParams) -> float:
     _require_coverage(clock, params)
     k_max = params.r_steps(params.horizon_T)
     nu = params.nu()
-    lv = clock.log_values[: k_max + 1]
-    vals = np.exp(lv - params.gamma * params.N)
-    vals = np.where(np.isneginf(lv), 0.0, vals)
+    vals = np.exp(clock.log_values[: k_max + 1] - params.gamma * params.N)
     base = vals[nu * (np.arange(k_max + 1) // nu)]
     return float(np.max(vals - base))
 
@@ -224,9 +218,8 @@ def truncated_clock(
     energies = np.asarray(energies, dtype=np.float64)
     if len(energies) < clock.steps:
         raise ValueError("energies must cover every increment")
-    log_incs = clock.log_increments()
     keep = energies[: clock.steps] <= truncation_level(params, m)
-    masked = np.where(keep, log_incs, -np.inf)
+    masked = np.where(keep, clock.log_incs, -np.inf)
     return RescaledClock(clock_from_log_increments(masked), params, "bar")
 
 

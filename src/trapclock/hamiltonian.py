@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import RngStream, gaussian_from_hash, mix64_array
+from .core import RngStream, as_generator, gaussian_from_hash, mix64_array
 from .hypercube import SpinConfig, WalkTrajectory
 
 _DENSE_MAX_ENTRIES = 16_000_000
@@ -211,6 +211,5 @@ def exact_trajectory_sample(
         raise ValueError(
             f"covariance has eigenvalue {w.min():.3e}; not PSD within tolerance"
         )
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    z = gen.standard_normal(len(w))
+    z = as_generator(rng).standard_normal(len(w))
     return v @ (np.sqrt(np.clip(w, 0.0, None)) * z)

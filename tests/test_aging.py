@@ -159,6 +159,12 @@ def test_frozen_needs_groups():
         estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 50, groups=1)
 
 
+@pytest.mark.parametrize("replicas_per_group", [0, -3])
+def test_frozen_needs_replicas(replicas_per_group):
+    with pytest.raises(ValueError, match="replicas must be positive"):
+        estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, replicas_per_group, groups=3)
+
+
 def test_frozen_with_fewer_than_two_resolved_groups():
     # no group resolves: no estimate; one group resolves: its mean, and no
     # spread to estimate a stderr from; neither case warns
@@ -213,6 +219,14 @@ def test_pspin_mode_guards():
 def test_curve_validates_ratios():
     with pytest.raises(ValueError):
         aging_curve(PARAMS, [0.0, 0.5], 1.0, 0.3, 10)
+
+
+def test_curve_checks_every_ratio_before_estimating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(aging, "estimate_aging", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="ratios"):
+        aging_curve(PARAMS, [0.5, 0.25, 1.0], 1.0, 0.3, 10)
+    assert calls == []
 
 
 def test_curve_and_csv():
@@ -471,7 +485,7 @@ def test_rem_stream_is_pinned():
     cap = aging._step_cap(PARAMS, 2.0, 8.0)
     digests = []
     for dropped in (0.0, aging._DROPPED_MASS):
-        dist, excluded, _, _ = aging._aging_kernel(
+        dist, excluded, _ = aging._aging_kernel(
             PARAMS, 1, 1, 300, RngStream(41, 40), cap, dropped=dropped
         )
         frozen = aging._frozen_kernel(PARAMS, 1, 1, 20, 3, RngStream(41, 41), cap,
@@ -482,6 +496,24 @@ def test_rem_stream_is_pinned():
         "eb90b086b9ea72b09d4a54b674d58234b334aa73efbc6d5f9c2c1674dd78aacd",
         "7afd6ed69703d77009f68c21f341fa10b0ddc1d52313b922af9b9c66280c05fd",
     ]
+
+
+def test_vstar_and_pspin_stream_are_pinned():
+    # SHA-256 of the REM kernel's block values at both dropped masses and of
+    # the whole dense p-spin kernel output, NaN entries included
+    cap = aging._step_cap(PARAMS, 2.0, 8.0)
+    arrays = []
+    for dropped in (0.0, aging._DROPPED_MASS):
+        _, _, vstar = aging._aging_kernel(
+            PARAMS, 1, 1, 300, RngStream(41, 40), cap, dropped=dropped
+        )
+        arrays.append(vstar)
+    arrays += aging._aging_kernel(
+        PSPIN, 0.5, 0.5, 70, RngStream(41, 25), aging._step_cap(PSPIN, 1.0, 8.0), "pspin"
+    )
+    assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == (
+        "c6db01f21ca0f22f310fdb6e63d7bca217d7feb58555526b28a3eb6192a61411"
+    )
 
 
 def test_deep_floor_keeps_exactly_the_deep_sites():

@@ -244,3 +244,13 @@ def test_repeat_runs_write_identical_bytes(tmp_path):
     assert main(argv + ["--out", str(c)]) == 0
     assert main(argv + ["--out", str(d)]) == 0
     assert (c / "clock.csv").read_bytes() == (d / "clock.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [("--N-list", "16,x", "bad int list '16,x'"), ("--u", "0.5,y", "bad float list '0.5,y'")],
+)
+def test_block_laplace_names_a_bad_list(tmp_path, capsys, flag, text, message):
+    args = ["block-laplace", "--beta", "1.0", "--gamma", "0.6", flag, text]
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
