@@ -151,6 +151,36 @@ def test_modulus_w_prime_below_w(path):
     assert modulus_w_prime(path, 0.3) <= modulus_w(path, 0.3) + 1e-12
 
 
+LATTICE = 16
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=LATTICE), max_size=8, unique=True),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9),
+    st.integers(min_value=0, max_value=LATTICE - 1),
+)
+def test_moduli_match_brute_force_on_a_lattice(cells, levels, q):
+    # Jumps sit on multiples of h = 1/LATTICE and delta halfway between two
+    # of them, so t2 - t1 < delta is decided by the lattice alone. Each
+    # segment is represented by its first point and by a point eps before
+    # its end (the closed final segment by T itself); every triple of these
+    # points inside the window is checked against both definitions.
+    h, eps = 1.0 / LATTICE, 1e-3 / LATTICE
+    times = np.array(sorted(cells)) / LATTICE
+    path = CadlagStepPath(1.0, levels[0], times, np.array(levels[1 : len(times) + 1]))
+    delta = (q + 0.5) * h
+    pts = np.concatenate((np.arange(LATTICE + 1) * h, np.arange(1, LATTICE + 1) * h - eps))
+    pts.sort()
+    f = path.value_at(pts)
+    i, j, k = np.meshgrid(*[np.arange(pts.size)] * 3, indexing="ij")
+    ok = (i <= j) & (j <= k) & (pts[k] - pts[i] < delta)
+    f1, f0, f2 = f[i[ok]], f[j[ok]], f[k[ok]]
+    w = np.minimum(np.abs(f0 - f1), np.abs(f2 - f0)).max()
+    gap = np.maximum(np.minimum(f1, f2) - f0, f0 - np.maximum(f1, f2))
+    assert modulus_w(path, delta) == w
+    assert modulus_w_prime(path, delta) == max(gap.max(), 0.0)
+
+
 def test_modulus_v_window():
     f = CadlagStepPath(2.0, 0.0, np.array([1.0]), np.array([2.0]))
     assert modulus_v(f, 1.0, 0.1) == 2.0
