@@ -100,8 +100,6 @@ def _arcsine_point(params: ModelParams, t: float, s: float) -> tuple[float, floa
     alpha = params.alpha()
     if not 0.0 < alpha < 1.0:
         return math.nan, alpha
-    if t + s <= 0.0:
-        return math.nan, alpha
     return float(arcsine_cdf(alpha, t / (t + s))), alpha
 
 
@@ -290,7 +288,6 @@ def _aging_kernel(
     rng: RngStream,
     step_cap: int,
     mode: str = "rem",
-    chunk: int | None = None,
     dropped: float = _DROPPED_MASS,
 ):
     """Simulate `replicas` independent clocks up to the second crossing.
@@ -320,7 +317,7 @@ def _aging_kernel(
     elif mode != "rem":
         raise ValueError(f"unknown mode {mode!r}")
     nu, chunk, targets, root, floor = _kernel_scales(
-        params, t, s, chunk, step_cap, dropped
+        params, t, s, None, step_cap, dropped
     )
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
 
@@ -455,7 +452,6 @@ def _frozen_kernel(
     groups: int,
     rng: RngStream,
     step_cap: int,
-    chunk: int | None = None,
     dropped: float = _DROPPED_MASS,
 ):
     """REM kernel with the jump chain frozen within each group.
@@ -468,7 +464,7 @@ def _frozen_kernel(
     Returns a list of (dist, excluded) pairs, one per group.
     """
     nu, chunk, targets, root, floor = _kernel_scales(
-        params, t, s, chunk, step_cap, dropped
+        params, t, s, None, step_cap, dropped
     )
     ids = np.arange(replicas_per_group, dtype=np.uint64)
     jobs = []

@@ -95,11 +95,12 @@ def phi(u, p: int):
     return float(val) if np.ndim(u) == 0 else val
 
 
-def phi_slope_report(p: int, h: float = 1e-6) -> dict:
-    """Finite-difference slope of Phi at 0 next to the two candidate closed
-    forms in circulation (-p/2 from direct differentiation, -2p as sometimes
-    stated). Reported, not asserted; the fd value settles the question."""
-    fd = (phi(h, p) - phi(0.0, p)) / h
+def phi_slope_report(p: int) -> dict:
+    """Forward-difference slope of Phi at 0, step 1e-6, next to the two
+    candidate closed forms in circulation (-p/2 from direct differentiation,
+    -2p as sometimes stated). Reported, not asserted; the fd value settles
+    the question."""
+    fd = (phi(1e-6, p) - phi(0.0, p)) / 1e-6
     return {
         "p": p,
         "fd_slope": fd,
@@ -108,6 +109,17 @@ def phi_slope_report(p: int, h: float = 1e-6) -> dict:
         "matches_direct": abs(fd - (-p / 2.0)) < 1e-3 * p,
         "matches_stated": abs(fd - (-2.0 * p)) < 1e-3 * p,
     }
+
+
+def _two_branch(params: RateFunctionParams, g, lead):
+    """Branch rule of upsilon and upsilon_tilde around their leading term."""
+    b2 = params.beta**2
+    # g = -1 (odd p at u = 1) always falls in the second branch, but
+    # np.where still evaluates the first expression there
+    with np.errstate(divide="ignore"):
+        first = lead - params.gamma**2 / (b2 * (1.0 + g))
+    second = lead + b2 * (1.0 + g) - 2.0 * params.gamma
+    return np.where(g >= params.branch_split, first, second)
 
 
 def upsilon(params: RateFunctionParams, u):
@@ -120,14 +132,7 @@ def upsilon(params: RateFunctionParams, u):
     """
     arr = np.asarray(u, dtype=np.float64)
     g = (1.0 - 2.0 * arr) ** params.p
-    b2 = params.beta**2
-    base = params.gamma**2 / b2 - entropy_I(arr)
-    # g = -1 (odd p at u = 1) always falls in the second branch, but
-    # np.where still evaluates the first expression there
-    with np.errstate(divide="ignore"):
-        first = base - params.gamma**2 / (b2 * (1.0 + g))
-    second = base + b2 * (1.0 + g) - 2.0 * params.gamma
-    val = np.where(g >= params.branch_split, first, second)
+    val = _two_branch(params, g, params.gamma**2 / params.beta**2 - entropy_I(arr))
     return float(val) if np.ndim(u) == 0 else val
 
 
@@ -151,13 +156,8 @@ def upsilon_tilde(params: RateFunctionParams, u):
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("u must lie in [0,1]")
     g = (1.0 - 2.0 * arr) ** params.p
-    b2 = params.beta**2
-    lead = params.gamma**2 / (2.0 * b2)
-    tilt = params.eta * np.minimum(arr, 1.0 - arr)
-    with np.errstate(divide="ignore"):
-        first = lead - params.gamma**2 / (b2 * (1.0 + g)) + tilt
-    second = lead + b2 * (1.0 + g) - 2.0 * params.gamma + tilt
-    val = np.where(g >= params.branch_split, first, second)
+    lead = params.gamma**2 / (2.0 * params.beta**2)
+    val = _two_branch(params, g, lead) + params.eta * np.minimum(arr, 1.0 - arr)
     return float(val) if np.ndim(u) == 0 else val
 
 
@@ -217,13 +217,13 @@ def j_N_limit_report(u: float, N_list) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, a: float, b: float, iters: int = 60) -> float:
-    """Maximum value of f on [a, b] by golden-section search (f unimodal on
-    the bracket; the caller supplies a bracket around a grid argmax)."""
+def _golden_max(f, a: float, b: float) -> float:
+    """Maximum value of f on [a, b] by 60 golden-section steps (f unimodal
+    on the bracket; the caller supplies a bracket around a grid argmax)."""
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)

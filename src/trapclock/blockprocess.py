@@ -17,7 +17,7 @@ is exponentially small in N and the naive estimator would drown in variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,15 +127,7 @@ def block_scaling_constant(
     each N in N_list; rows carry the raw estimate and stderr as well."""
     rows = []
     for idx, N in enumerate(N_list):
-        pN = ModelParams(
-            N=int(N),
-            p=params.p,
-            beta=params.beta,
-            gamma=params.gamma,
-            omega=params.omega,
-            horizon_T=params.horizon_T,
-            seed=params.seed,
-        )
+        pN = replace(params, N=int(N))
         stream = rng if rng is not None else params.stream().substream(7000 + idx)
         est, se = block_laplace_mc(pN, u, samples, stream)
         factor = rescale_factor(pN)
@@ -169,14 +161,13 @@ def valley_profile_mc(
     rng,
     k: int = 0,
     bandwidth: float = 0.1,
-    min_window: int = 50,
 ) -> dict:
     """Conditional mean profile of the block around index k given U_k ~ level.
 
     Kernel-window Monte Carlo: keep draws with |U_k - level| <= bandwidth and
-    average U_{k+i} over them. The exact bivariate-normal answer is
-    ell * (1 - 2p|i|/N) with ell the realized window mean of U_k, and is
-    returned alongside for comparison.
+    average U_{k+i} over them; fewer than 50 kept draws is an error. The
+    exact bivariate-normal answer is ell * (1 - 2p|i|/N) with ell the
+    realized window mean of U_k, and is returned alongside for comparison.
     """
     offsets = np.asarray(list(offsets), dtype=int)
     if not 0 <= k < coeffs.nu:
@@ -186,7 +177,7 @@ def valley_profile_mc(
     U = sample_block(coeffs, rng, samples)
     window = np.abs(U[:, k] - level) <= bandwidth
     n_win = int(window.sum())
-    if n_win < min_window:
+    if n_win < 50:
         raise RuntimeError(
             f"only {n_win} of {samples} draws landed in the conditioning window"
         )

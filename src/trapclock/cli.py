@@ -470,10 +470,27 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
     sub_parser = sub_actions[0].choices[args.command]
-    dests = {a.dest for a in sub_parser._actions} - {"help", "config", "func"}
-    unknown = set(raw) - dests
+    actions = {
+        a.dest: a for a in sub_parser._actions
+        if a.dest not in ("help", "config", "func")
+    }
+    unknown = set(raw) - set(actions)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
+    # argparse converts a string default with the flag's type but uses any
+    # other value as it is, so that value must already fit the flag
+    for key, value in raw.items():
+        action = actions[key]
+        if isinstance(value, str):
+            ok = action.choices is None or value in action.choices
+        elif value is None:
+            ok = action.default is None
+        else:
+            kinds = {int: (int,), float: (int, float)}.get(action.type, ())
+            ok = isinstance(value, kinds) and not isinstance(value, bool)
+        if not ok:
+            want = action.type.__name__ if action.choices is None else list(action.choices)
+            raise CliError(f"config key {key!r} takes {want}, got {json.dumps(value)}")
     sub_parser.set_defaults(**raw)
     return parser.parse_args(argv)
 

@@ -115,17 +115,13 @@ class InsufficientStepsError(ValueError):
 class RescaledClock:
     """Lazy macroscopic view t -> e^{-gamma N} S(step_index(t)).
 
-    kind "bar" uses step_index = floor(t sqrt(N) e^{N gamma^2/2 beta^2});
-    kind "tilde" floors that index to a multiple of nu (coarse graining).
+    step_index floors t sqrt(N) e^{N gamma^2/2 beta^2} to a multiple of
+    `block`: 1 for the plain view, nu for the coarse-grained one.
     """
 
     clock: ClockPath
     params: ModelParams
-    kind: str = "bar"
-
-    def __post_init__(self):
-        if self.kind not in ("bar", "tilde"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+    block: int = 1
 
     def _rate(self) -> float:
         return math.exp(self.params.log_r1())
@@ -135,9 +131,7 @@ class RescaledClock:
         if np.any(arr < 0):
             raise ValueError("t must be >= 0")
         k = np.floor(arr * self._rate()).astype(np.int64)
-        if self.kind == "tilde":
-            nu = self.params.nu()
-            k = nu * (k // nu)
+        k = self.block * (k // self.block)
         if np.any(k > self.clock.steps):
             raise InsufficientStepsError(
                 f"query needs step {int(np.max(k))} but clock has {self.clock.steps}"
@@ -157,22 +151,13 @@ class RescaledClock:
             raise InsufficientStepsError(
                 f"T={T} needs step {k_max} but clock has {self.clock.steps}"
             )
-        ks = np.arange(1, k_max + 1)
-        if self.kind == "tilde":
-            nu = self.params.nu()
-            ks = ks[ks % nu == 0]
+        ks = np.arange(self.block, k_max + 1, self.block)
         times = ks / rate
         vals = np.exp(
             self.clock.log_values[ks] - self.params.gamma * self.params.N
         )
         keep = np.diff(np.concatenate(([0.0], vals))) > 0
         return CadlagStepPath(T, 0.0, times[keep], vals[keep])
-
-    def to_csv(self, grid) -> str:
-        lines = ["t,value"]
-        for t in grid:
-            lines.append(f"{float(t)!r},{self.value_at(float(t))!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _require_coverage(clock: ClockPath, params: ModelParams):
@@ -185,12 +170,12 @@ def _require_coverage(clock: ClockPath, params: ModelParams):
 
 def rescale_clock(clock: ClockPath, params: ModelParams) -> RescaledClock:
     _require_coverage(clock, params)
-    return RescaledClock(clock, params, "bar")
+    return RescaledClock(clock, params)
 
 
 def coarse_grain_clock(clock: ClockPath, params: ModelParams) -> RescaledClock:
     _require_coverage(clock, params)
-    return RescaledClock(clock, params, "tilde")
+    return RescaledClock(clock, params, params.nu())
 
 
 def coarse_grain_gap(clock: ClockPath, params: ModelParams) -> float:
@@ -220,7 +205,7 @@ def truncated_clock(
         raise ValueError("energies must cover every increment")
     keep = energies[: clock.steps] <= truncation_level(params, m)
     masked = np.where(keep, clock.log_incs, -np.inf)
-    return RescaledClock(clock_from_log_increments(masked), params, "bar")
+    return RescaledClock(clock_from_log_increments(masked), params)
 
 
 def record_point_process(

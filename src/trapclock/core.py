@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -65,15 +65,18 @@ def mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 def gaussian_from_bits(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Standard normals from uint64 random bits `h`, written into `out`.
 
-    The top 53 bits give a uniform offset by half a unit, so it lies
-    strictly inside (0, 1), and the normal quantile `ndtri` maps it to a
-    standard normal. The map is nondecreasing in `h`, so a threshold on
-    the normal is a threshold on the bits. `h` is overwritten; returns
-    `out`, a float64 array of h's shape.
+    The top 53 bits give a uniform offset by half a unit, and the normal
+    quantile `ndtri` maps it to a standard normal. In float64 the offset
+    uniform of the top cell, ``h >> 11 == 2**53 - 1``, rounds up to 1.0, so
+    the uniform is clamped to the largest double below 1: it lies strictly
+    inside (0, 1) and every depth is finite. The map is nondecreasing in
+    `h`, so a threshold on the normal is a threshold on the bits. `h` is
+    overwritten; returns `out`, a float64 array of h's shape.
     """
     np.right_shift(h, np.uint64(11), out=h)
     np.add(h, 0.5, out=out)
     out *= 2.0**-53
+    np.minimum(out, 1.0 - 2.0**-53, out=out)
     return ndtri(out, out=out)
 
 
@@ -232,7 +235,7 @@ class ScaleReport:
     notes: tuple[str, ...]
 
 
-def derive_scales(params: ModelParams, zeta_tol: float = 1e-5) -> ScaleReport:
+def derive_scales(params: ModelParams) -> ScaleReport:
     """Derived scales and admissibility flags for a parameter set.
 
     Admissibility means gamma < min(beta^2, zeta(p) * beta); a violation is
@@ -241,7 +244,7 @@ def derive_scales(params: ModelParams, zeta_tol: float = 1e-5) -> ScaleReport:
     if params.beta <= 0:
         raise ValueError("derive_scales requires beta > 0")
     # ModelParams has already validated the other ranges
-    zeta_p = _zeta_cached(params.p, zeta_tol)
+    zeta_p = _zeta_cached(params.p)
     alpha = params.alpha()
     notes = []
     if params.nu() >= params.N:
@@ -274,13 +277,13 @@ def derive_scales(params: ModelParams, zeta_tol: float = 1e-5) -> ScaleReport:
 
 
 @lru_cache(maxsize=None)
-def _zeta_cached(p: int, tol: float) -> float:
+def _zeta_cached(p: int) -> float:
     from .analysis import zeta
 
-    return zeta(p, tol)
+    return zeta(p)
 
 
-_PARAM_FIELDS = ("N", "p", "beta", "gamma", "omega", "horizon_T", "seed")
+_PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
 _PARAM_REQUIRED = ("N", "p", "beta", "gamma")
 
 
@@ -305,10 +308,8 @@ def params_from_json(source) -> ModelParams:
     missing = sorted(set(_PARAM_REQUIRED) - set(doc))
     if missing:
         raise ValueError(f"missing parameter keys: {', '.join(missing)}")
-    if "N" in doc:
-        doc["N"] = int(doc["N"])
-    if "p" in doc:
-        doc["p"] = int(doc["p"])
+    doc["N"] = int(doc["N"])
+    doc["p"] = int(doc["p"])
     if "seed" in doc:
         doc["seed"] = int(doc["seed"])
     return ModelParams(**doc)

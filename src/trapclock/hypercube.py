@@ -210,17 +210,17 @@ def binomial_half_pmf(N: int) -> np.ndarray:
     return np.array([math.comb(N, d) for d in range(N + 1)], dtype=float) / 2.0**N
 
 
-def mixing_constant_estimate(N: int, target_tv: float = 1e-6, k_max: int | None = None) -> float:
+def mixing_constant_estimate(N: int, target_tv: float = 1e-6) -> float:
     """Smallest K such that the parity-averaged law at k = ceil(K N^2 log N)
-    is within target_tv of Binomial(N, 1/2) in total variation.
+    is within target_tv of Binomial(N, 1/2) in total variation, searched up
+    to K = 8.
 
     The relevant bound guarantees existence of some finite K without naming
     it, so this reports rather than asserts.
     """
     stat = binomial_half_pmf(N)
     scale = N * N * math.log(N) if N > 1 else 1.0
-    if k_max is None:
-        k_max = int(8 * scale) + 2
+    k_max = int(8 * scale) + 2
     p = distance_distribution(N, 0)
     prev = p
     for k in range(1, k_max + 1):

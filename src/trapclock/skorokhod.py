@@ -100,44 +100,42 @@ def _check_delta(path: CadlagStepPath, delta: float):
         raise ValueError("delta must lie in (0, T)")
 
 
+def _window_scan(path: CadlagStepPath, delta: float, cand) -> float:
+    """Largest ``cand(vj, v_i, v_k)`` over segment triples i <= j <= k
+    that fit a window of width delta, vj being the levels v_i..v_k. A
+    window holds the end of segment i and the start of segment k exactly
+    when tau_k - tau_{i+1} < delta. Every candidate is >= 0 (j = i gives
+    0), so the scan starts from 0."""
+    _check_delta(path, delta)
+    v = path.levels()
+    tau = path.boundaries()
+    best = 0.0
+    for i in range(len(v) - 1):
+        for k in range(i + 1, len(v)):
+            if tau[k] - tau[i + 1] >= delta:
+                break
+            c = cand(v[i : k + 1], v[i], v[k])
+            if c > best:
+                best = float(c)
+    return best
+
+
 def modulus_w(path: CadlagStepPath, delta: float) -> float:
     """sup of min(|f(t)-f(t1)|, |f(t2)-f(t)|) over t1 <= t <= t2 within
     a window of width delta. Exact: two-sided oscillation needs three
     segments i <= j <= k reachable with t2 - t1 < delta, i.e.
     tau_k - tau_{i+1} < delta."""
-    _check_delta(path, delta)
-    v = path.levels()
-    tau = path.boundaries()
-    best = 0.0
-    for i in range(len(v) - 1):
-        for k in range(i + 1, len(v)):
-            if tau[k] - tau[i + 1] >= delta:
-                break
-            vj = v[i : k + 1]
-            cand = np.minimum(np.abs(vj - v[i]), np.abs(v[k] - vj)).max()
-            if cand > best:
-                best = float(cand)
-    return best
+    return _window_scan(
+        path, delta, lambda vj, a, b: np.minimum(np.abs(vj - a), np.abs(b - vj)).max()
+    )
 
 
 def modulus_w_prime(path: CadlagStepPath, delta: float) -> float:
     """sup of the distance from f(t) to the interval [f(t1), f(t2)], same
     window geometry as modulus_w. Identically zero for monotone paths."""
-    _check_delta(path, delta)
-    v = path.levels()
-    tau = path.boundaries()
-    best = 0.0
-    for i in range(len(v) - 1):
-        for k in range(i + 1, len(v)):
-            if tau[k] - tau[i + 1] >= delta:
-                break
-            vj = v[i : k + 1]
-            lo = min(v[i], v[k])
-            hi = max(v[i], v[k])
-            cand = np.maximum(lo - vj, vj - hi).max()
-            if cand > best:
-                best = float(cand)
-    return max(best, 0.0)
+    return _window_scan(
+        path, delta, lambda vj, a, b: np.maximum(min(a, b) - vj, vj - max(a, b)).max()
+    )
 
 
 def modulus_v(path: CadlagStepPath, t: float, delta: float) -> float:

@@ -8,10 +8,11 @@ regularized incomplete beta I_x(alpha, 1-alpha).
 
 The range-miss estimator answers: does the closure of {V(u)} intersect the
 window (t, t+s)? Since V is increasing, that reduces to the value at first
-passage above t, which is located by forward simulation with a coarse step
-far below the level and a fine step near it. The residual discretization
-bias is one-sided (toward over-reporting misses) and of order dt_coarse,
-which the defaults keep well under the Monte Carlo error.
+passage above t, which is located by forward simulation in fixed time
+steps: 5e-3 t^alpha/K while the path is below 0.9 t, 5e-4 t^alpha/K from
+0.9 t upward. The residual discretization bias is one-sided (toward
+over-reporting misses) and of the order of the coarse step, well under the
+Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -116,28 +117,22 @@ def first_passage_values(
     t: float,
     replicas: int,
     rng,
-    dt_coarse: float | None = None,
-    dt_fine: float | None = None,
-    margin: float | None = None,
 ) -> np.ndarray:
     """V at the first grid point where the path exceeds level t, per replica.
 
-    Forward simulation: steps of dt_coarse while the path sits below
-    t - margin, dt_fine inside the approach zone. All window queries at this
-    level t (any s) can be answered from the returned values, and coupling
-    across s is pathwise exact.
+    Forward simulation in time steps of 5e-3 t^alpha/K while the path sits
+    below 0.9 t and of 5e-4 t^alpha/K from 0.9 t upward. All window queries
+    at this level t (any s) can be answered from the returned values, and
+    coupling across s is pathwise exact.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if t <= 0 or K <= 0:
         raise ValueError("need t > 0 and K > 0")
     base = t**alpha / K  # first-passage time scale
-    if dt_coarse is None:
-        dt_coarse = 5e-3 * base
-    if dt_fine is None:
-        dt_fine = 5e-4 * base
-    if margin is None:
-        margin = 0.1 * t
+    dt_coarse = 5e-3 * base
+    dt_fine = 5e-4 * base
+    margin = 0.1 * t
     gen = as_generator(rng)
     out = np.empty(replicas)
     v = np.zeros(replicas)
@@ -166,7 +161,6 @@ def range_miss_prob_mc(
     replicas: int,
     rng,
     K: float = 1.0,
-    **step_kwargs,
 ) -> tuple[float, float]:
     """P[the range of V avoids the open window (t, t+s)], by Monte Carlo.
 
@@ -176,7 +170,7 @@ def range_miss_prob_mc(
     """
     if s <= 0:
         raise ValueError("s must be > 0")
-    vstar = first_passage_values(alpha, K, t, replicas, rng, **step_kwargs)
+    vstar = first_passage_values(alpha, K, t, replicas, rng)
     miss = (vstar >= t + s).astype(np.float64)
     est = float(miss.mean())
     se = float(miss.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0

@@ -184,6 +184,35 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"replicas": 2.5}, "config key 'replicas' takes int, got 2.5"),
+        ({"replicas": True}, "config key 'replicas' takes int, got true"),
+        ({"t": False}, "config key 't' takes float, got false"),
+        ({"t": None}, "config key 't' takes float, got null"),
+        ({"mode": "bogus"}, "config key 'mode' takes ['rem', 'pspin'], got \"bogus\""),
+    ],
+)
+def test_config_values_must_fit_their_flags(tmp_path, capsys, doc, message):
+    # a non-string config value skips argparse's type conversion, so it is
+    # checked against its flag before any work starts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["aging", "--N", "8", "--beta", "1.0", "--gamma", "0.5",
+            "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_that_fit_are_taken(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1, "grid_points": "2001", "out": str(tmp_path / "o")}))
+    assert main(["zeta", "--p", "2", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "o" / "zeta.json").read_text())["tol"] == 1
+
+
 def test_config_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

@@ -13,6 +13,7 @@ from trapclock.core import (
     RngStream,
     as_generator,
     derive_scales,
+    gaussian_from_bits,
     gaussian_from_hash,
     log_cumsum_exp,
     mix64,
@@ -175,10 +176,11 @@ def test_gaussian_from_hash_scalar_vs_array_key():
 
 def _gaussian_reference(key, index):
     # one SplitMix64 round of index + key, a 53-bit uniform offset by half a
-    # unit, and the normal quantile
+    # unit and kept below 1, and the normal quantile
     with np.errstate(over="ignore"):
         h = mix64_array(np.asarray(index, dtype=np.uint64) + np.asarray(key, dtype=np.uint64))
-    return ndtri(((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    uniform = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(np.minimum(uniform, 1.0 - 2.0**-53))
 
 
 def test_gaussian_from_hash_matches_reference_formula():
@@ -191,6 +193,16 @@ def test_gaussian_from_hash_matches_reference_formula():
     scalar = gaussian_from_hash(_MASK, np.uint64(7))
     assert scalar.shape == ()
     assert float(scalar) == float(_gaussian_reference(_MASK, 7))
+
+
+def test_gaussian_from_bits_top_cell_is_finite():
+    # (2**53 - 1) + 0.5 rounds to 2**53 in float64, a uniform of exactly 1;
+    # the top cell must still get a finite depth, not below the cell under it
+    top = (1 << 53) - 1
+    h = np.array([_MASK, top << 11, (top - 1) << 11, ((top - 1) << 11) | 2047], dtype=np.uint64)
+    z = gaussian_from_bits(h, np.empty(4))
+    assert np.isfinite(z).all()
+    assert z[0] == z[1] >= z[2] == z[3]
 
 
 def test_gaussian_from_hash_is_standard_normal():
