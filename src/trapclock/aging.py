@@ -243,7 +243,9 @@ def _deep_floor(z0: float) -> int:
     bisection on those bits gives the floor as a multiple of 2**11, and
     ``hash >= floor`` holds exactly when the depth is at least z0. The
     floor never passes the top value of those bits, so some sites always
-    stay; z0 = -inf gives 0, which keeps every site.
+    stay: for z0 above every depth (the top one is about 8.21) the top
+    cell stays, shallower than z0; z0 = -inf gives 0, which keeps every
+    site.
     """
     bits, depth = np.empty(1, dtype=np.uint64), np.empty(1)
     lo, hi = 0, (1 << 53) - 1
