@@ -235,14 +235,13 @@ def _golden_max(f, a: float, b: float) -> float:
     return max(f1, f2)
 
 
-def _sup_principal(p: int, gamma: float, grid: np.ndarray) -> float:
-    params = RateFunctionParams(p=p, beta=1.0, gamma=gamma)
-    vals = upsilon_principal(params, grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    refined = _golden_max(lambda x: upsilon_principal(params, x), lo, hi)
-    return max(float(vals[i]), refined)
+def _principal_at(p: int, gamma2: float, u: float) -> float:
+    """upsilon_principal at beta = 1 for one float u, in Python floats:
+    the same formula as the array path, without 0-d numpy calls."""
+    g = (1.0 - 2.0 * u) ** p
+    w = 1.0 - u
+    ent = (u * math.log(u) if u > 0 else 0.0) + (w * math.log(w) if w > 0 else 0.0) + _LOG2
+    return gamma2 * (g / (1.0 + g)) - ent
 
 
 def zeta(p: int, tol: float = 1e-5, grid_points: int = 10_001) -> float:
@@ -250,20 +249,35 @@ def zeta(p: int, tol: float = 1e-5, grid_points: int = 10_001) -> float:
 
     Bisection over gamma; each predicate evaluation maximizes over a dense
     u-grid on [0, 1/2] with golden-section polishing around the grid argmax.
+    The gamma-free grid terms Phi(u) and I(u) are computed once per call, so
+    a predicate evaluation is gamma^2 Phi - I on the grid plus a polish in
+    Python floats.
     Known anchors: zeta(2) = 2^{-1/2}, zeta(3) near 1.0291, and
     zeta(p) -> sqrt(2 log 2) from below as p grows.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"p must be an integer >= 2, got {p!r}")
     if tol <= 0:
         raise ValueError("tol must be > 0")
     grid = np.linspace(0.0, 0.5, grid_points)
+    g = (1.0 - 2.0 * grid) ** p
+    phi_g = g / (1.0 + g)
+    ent_g = entropy_I(grid)
+    last = len(grid) - 1
     lo, hi = 0.3, 1.3
 
     # the rate vanishes identically at u = 1/2, so the sup is never below
     # zero; rounding there lands within an ulp of 0 and needs this slack
     def nonpositive(gamma: float) -> bool:
-        return _sup_principal(p, gamma, grid) <= 1e-12
+        gamma2 = gamma**2
+        vals = gamma2 * phi_g - ent_g
+        i = int(np.argmax(vals))
+        refined = _golden_max(
+            lambda x: _principal_at(p, gamma2, x),
+            float(grid[max(i - 1, 0)]),
+            float(grid[min(i + 1, last)]),
+        )
+        return max(float(vals[i]), refined) <= 1e-12
 
     if not nonpositive(lo):
         raise BracketError(f"sup of the rate is positive already at gamma={lo}")

@@ -455,21 +455,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None:
-        return args
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    # a required flag may come from the config, so argparse must not insist
+    # on it before the merge; it is checked once both layers are in
+    required = [
+        a for sp in subparsers.choices.values() for a in sp._actions if a.required
+    ]
+    for action in required:
+        action.required = False
     try:
-        raw = json.loads(Path(args.config).read_text())
+        args = parser.parse_args(argv)
+        sub_parser = subparsers.choices[args.command]
+        if args.config is not None:
+            sub_parser.set_defaults(**_read_config(args.config, sub_parser))
+            args = parser.parse_args(argv)
+    finally:
+        for action in required:
+            action.required = True
+    missing = [
+        "/".join(a.option_strings) for a in sub_parser._actions
+        if a.required and getattr(args, a.dest) is None
+    ]
+    if missing:
+        sub_parser.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
+
+
+def _read_config(path: str, sub_parser: argparse.ArgumentParser) -> dict:
+    """The config file's flag defaults, each checked against the flag it sets."""
+    try:
+        raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {args.config!r}: {exc}") from exc
+        raise CliError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise CliError("config file must hold a JSON object")
 
-    # find the chosen subcommand parser to validate keys against its dests
-    sub_actions = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    sub_parser = sub_actions[0].choices[args.command]
     actions = {
         a.dest: a for a in sub_parser._actions
         if a.dest not in ("help", "config", "func")
@@ -491,8 +513,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         if not ok:
             want = action.type.__name__ if action.choices is None else list(action.choices)
             raise CliError(f"config key {key!r} takes {want}, got {json.dumps(value)}")
-    sub_parser.set_defaults(**raw)
-    return parser.parse_args(argv)
+    return raw
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -308,11 +308,22 @@ def params_from_json(source) -> ModelParams:
     missing = sorted(set(_PARAM_REQUIRED) - set(doc))
     if missing:
         raise ValueError(f"missing parameter keys: {', '.join(missing)}")
-    doc["N"] = int(doc["N"])
-    doc["p"] = int(doc["p"])
-    if "seed" in doc:
-        doc["seed"] = int(doc["seed"])
+    for key in ("N", "p", "seed"):
+        if key in doc:
+            doc[key] = _integral(key, doc[key])
     return ModelParams(**doc)
+
+
+def _integral(key: str, value) -> int:
+    """`value` as an int when that keeps it unchanged (12 or 12.0, not 12.7,
+    "12" or true); otherwise a ValueError naming the key."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if isinstance(value, bool) or as_int is None or as_int != value:
+        raise ValueError(f"parameter key {key!r} takes an integer, got {value!r}")
+    return as_int
 
 
 def params_to_json(params: ModelParams) -> str:

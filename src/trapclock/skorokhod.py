@@ -269,22 +269,36 @@ def _sample_polyline(pts: np.ndarray, resolution: int) -> np.ndarray:
 
 
 def _discrete_frechet(P: np.ndarray, Q: np.ndarray) -> float:
+    """Discrete Frechet distance under the Chebyshev metric (Eiter and
+    Mannila's coupling recursion), filled by anti-diagonals i + j = k.
+
+    Cell (i, j) reads (i-1, j) and (i, j-1) on diagonal k-1 and (i-1, j-1)
+    on diagonal k-2, so one diagonal is a few slice ufuncs. The last two
+    diagonals are kept by row index i at offset 1; the slot of row -1 and
+    the slots no diagonal has reached hold inf, which the min passes over.
+    Only max and min of the pairwise distances are taken, so the value is
+    the row-by-row recursion's to the bit.
+    """
     n, m = len(P), len(Q)
-    prev = None
-    for i in range(n):
-        row_d = np.maximum(np.abs(P[i, 0] - Q[:, 0]), np.abs(P[i, 1] - Q[:, 1]))
-        cur = row_d.tolist()
-        if i == 0:
-            for j in range(1, m):
-                cur[j] = max(cur[j - 1], cur[j])
-        else:
-            cur[0] = max(prev[0], cur[0])
-            for j in range(1, m):
-                reach = min(prev[j], prev[j - 1], cur[j - 1])
-                if reach > cur[j]:
-                    cur[j] = reach
-        prev = cur
-    return float(prev[-1])
+    px, py = P[:, 0], P[:, 1]
+    # reversed, so that j = k - i runs along a contiguous slice as i grows
+    qx, qy = Q[::-1, 0], Q[::-1, 1]
+    older = np.full(n + 1, np.inf)
+    last = np.full(n + 1, np.inf)
+    for k in range(n + m - 1):
+        # rows lo..hi-1 meet diagonal k; row i reads Q's point k - i
+        lo, hi = max(0, k - m + 1), min(k, n - 1) + 1
+        r = m - 1 - k
+        d = np.maximum(
+            np.abs(px[lo:hi] - qx[r + lo : r + hi]),
+            np.abs(py[lo:hi] - qy[r + lo : r + hi]),
+        )
+        if k:
+            reach = np.minimum(np.minimum(last[lo:hi], older[lo:hi]), last[lo + 1 : hi + 1])
+            np.maximum(d, reach, out=d)
+        older[lo + 1 : hi + 1] = d
+        older, last = last, older
+    return float(last[n])
 
 
 def m1_distance(f: CadlagStepPath, g: CadlagStepPath, resolution: int = 256) -> float:

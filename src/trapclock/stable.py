@@ -34,9 +34,9 @@ class SubordinatorPath:
     K: float
 
     def __post_init__(self):
-        if np.any(np.diff(self.grid) <= 0):
+        if (np.diff(self.grid) <= 0).any():
             raise ValueError("grid must be strictly increasing")
-        if np.any(np.diff(self.values) < 0):
+        if (np.diff(self.values) < 0).any():
             raise ValueError("values must be nondecreasing")
 
     def to_csv(self) -> str:
@@ -80,9 +80,9 @@ def sample_subordinator(alpha: float, K: float, grid, rng) -> SubordinatorPath:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be nonnegative and strictly increasing")
     dts = np.diff(np.concatenate(([0.0], grid)))
+    if grid[0] < 0 or (dts[1:] <= 0).any():
+        raise ValueError("grid must be nonnegative and strictly increasing")
     if K == 0.0:
         return SubordinatorPath(grid, np.zeros_like(grid), alpha, K)
     draws = sample_one_sided_stable(alpha, grid.size, rng)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -265,6 +266,25 @@ def test_zeta_validation():
         zeta(1)
     with pytest.raises(ValueError):
         zeta(3, tol=0.0)
+
+
+def test_zeta_is_pinned():
+    # zeta returns a bisection midpoint, so its bytes hold exactly when no
+    # "sup <= 1e-12" decision moves; the digest covers p = 2..50 at four
+    # tolerances and two grid sizes
+    values = [
+        repr(zeta(p, tol, gp))
+        for p in range(2, 51)
+        for tol in (1.0, 1e-3, 1e-4, 1e-5)
+        for gp in (2001, 10001)
+    ]
+    digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+    assert digest == "643513394d9b25be020c81cf1a431e18bf6bf8af270912b44c76e1d181f156a7"
+
+
+def test_zeta_refuses_a_non_integer_p():
+    with pytest.raises(ValueError, match="integer"):
+        zeta(3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,31 @@ def test_config_values_that_fit_are_taken(tmp_path):
     assert json.loads((tmp_path / "o" / "zeta.json").read_text())["tol"] == 1
 
 
+def test_required_flag_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3, "tol": 1e-3}))
+    assert main(["zeta", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "zeta.json").read_text())["p"] == 3
+    # the flag still beats the config
+    assert main(["zeta", "--p", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "zeta.json").read_text())["p"] == 2
+
+
+@pytest.mark.parametrize("doc", [None, {"omega": 0.7}, {"gamma": None}])
+def test_required_flag_missing_from_flags_and_config(tmp_path, capsys, doc):
+    argv = ["simulate-clock", "--N", "8", "--beta", "1.5", "--out", str(tmp_path / "o")]
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --gamma" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

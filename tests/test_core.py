@@ -124,6 +124,24 @@ def test_params_json_round_trip(tmp_path):
     assert params_from_json(path) == params
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", 12.7), ("p", 3.9), ("seed", 2.5), ("N", True), ("seed", False),
+     ("p", "3"), ("N", None), ("seed", float("inf")), ("seed", float("nan"))],
+)
+def test_params_json_refuses_what_int_would_change(key, value):
+    doc = {"N": 12, "p": 3, "beta": 1.0, "gamma": 0.5, key: value}
+    with pytest.raises(ValueError, match=f"'{key}' takes an integer"):
+        params_from_json(doc)
+
+
+def test_params_json_takes_integral_floats():
+    doc = {"N": 12.0, "p": 3.0, "beta": 1.0, "gamma": 0.5, "seed": 7.0}
+    params = params_from_json(doc)
+    assert (params.N, params.p, params.seed) == (12, 3, 7)
+    assert all(type(x) is int for x in (params.N, params.p, params.seed))
+
+
 def test_params_json_rejects_unknown_keys():
     doc = {"N": 10, "p": 3, "beta": 1.0, "gamma": 0.5, "bet": 2.0}
     with pytest.raises(ValueError, match="bet"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trapclock.skorokhod import (
     CadlagStepPath,
+    _discrete_frechet,
     j1_distance,
     m1_distance,
     modulus_v,
@@ -231,6 +232,38 @@ def test_j1_domain_mismatch():
 # ---------------------------------------------------------------------------
 # M1
 # ---------------------------------------------------------------------------
+
+
+def _row_frechet(P, Q):
+    """Discrete Frechet by the row-by-row recursion: the reference the
+    anti-diagonal fill must match to the bit."""
+    n, m = len(P), len(Q)
+    prev = None
+    for i in range(n):
+        row_d = np.maximum(np.abs(P[i, 0] - Q[:, 0]), np.abs(P[i, 1] - Q[:, 1]))
+        cur = row_d.tolist()
+        if i == 0:
+            for j in range(1, m):
+                cur[j] = max(cur[j - 1], cur[j])
+        else:
+            cur[0] = max(prev[0], cur[0])
+            for j in range(1, m):
+                reach = min(prev[j], prev[j - 1], cur[j - 1])
+                if reach > cur[j]:
+                    cur[j] = reach
+        prev = cur
+    return float(prev[-1])
+
+
+def test_discrete_frechet_matches_row_dp():
+    gen = np.random.default_rng(8)
+    sizes = [(1, 1), (1, 7), (7, 1), (2, 2), (3, 40), (40, 3), (17, 17)]
+    sizes += [tuple(int(x) for x in gen.integers(1, 80, size=2)) for _ in range(40)]
+    for n, m in sizes:
+        P = np.cumsum(gen.normal(size=(n, 2)), axis=0)
+        Q = np.cumsum(gen.normal(size=(m, 2)), axis=0)
+        assert _discrete_frechet(P, Q) == _row_frechet(P, Q), (n, m)
+        assert _discrete_frechet(Q, P) == _row_frechet(Q, P), (m, n)
 
 
 def test_m1_zero_on_equal_paths():
