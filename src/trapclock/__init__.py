@@ -6,7 +6,7 @@ arcsine law, plus the rate functions and Skorokhod M1/J1 diagnostics used to
 verify the scaling predictions numerically.
 """
 
-from .core import ModelParams, RngStream, ScaleReport, derive_scales, params_from_json
+from .core import ModelParams, RngStream, ScaleReport, derive_scales
 from .hypercube import (
     SpinConfig,
     WalkTrajectory,
@@ -14,22 +14,14 @@ from .hypercube import (
     ehrenfest_hitting_prob,
     no_backtrack_prob,
     overlap,
-    pair_distance_counts,
-    return_statistic_rho,
     sample_walk,
 )
-from .hamiltonian import (
-    PSpinDisorder,
-    RemDisorder,
-    exact_trajectory_sample,
-    trajectory_energies,
-)
+from .hamiltonian import PSpinDisorder, RemDisorder, trajectory_energies
 from .blockprocess import (
     GammaCoefficients,
     block_laplace_mc,
     block_scaling_constant,
     sample_block,
-    valley_profile_mc,
 )
 from .clock import (
     ClockPath,
@@ -102,7 +94,6 @@ __all__ = [
     "estimate_aging",
     "estimate_aging_frozen",
     "estimate_range_miss",
-    "exact_trajectory_sample",
     "first_passage_values",
     "j1_distance",
     "j_N",
@@ -112,13 +103,10 @@ __all__ = [
     "modulus_w_prime",
     "no_backtrack_prob",
     "overlap",
-    "pair_distance_counts",
-    "params_from_json",
     "phi",
     "range_miss_prob_mc",
     "record_point_process",
     "rescale_clock",
-    "return_statistic_rho",
     "sample_block",
     "sample_subordinator",
     "sample_walk",
@@ -127,7 +115,6 @@ __all__ = [
     "truncated_clock",
     "upsilon",
     "upsilon_tilde",
-    "valley_profile_mc",
     "xi_rate_check",
     "zeta",
 ]

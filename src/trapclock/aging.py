@@ -46,14 +46,6 @@ from .core import ModelParams, RngStream, gaussian_from_bits, mix64_inplace
 from .hamiltonian import PSpinDisorder
 from .stable import arcsine_cdf
 
-__all__ = [
-    "AgingEstimate",
-    "estimate_aging",
-    "estimate_range_miss",
-    "aging_curve",
-    "aging_curve_csv",
-]
-
 # fraction of replicas allowed to exhaust the step budget before the
 # estimate is flagged as non conclusive
 _EXCLUSION_BUDGET = 0.05

@@ -95,22 +95,6 @@ def phi(u, p: int):
     return float(val) if np.ndim(u) == 0 else val
 
 
-def phi_slope_report(p: int) -> dict:
-    """Forward-difference slope of Phi at 0, step 1e-6, next to the two
-    candidate closed forms in circulation (-p/2 from direct differentiation,
-    -2p as sometimes stated). Reported, not asserted; the fd value settles
-    the question."""
-    fd = (phi(1e-6, p) - phi(0.0, p)) / 1e-6
-    return {
-        "p": p,
-        "fd_slope": fd,
-        "direct_slope": -p / 2.0,
-        "stated_slope": -2.0 * p,
-        "matches_direct": abs(fd - (-p / 2.0)) < 1e-3 * p,
-        "matches_stated": abs(fd - (-2.0 * p)) < 1e-3 * p,
-    }
-
-
 def _two_branch(params: RateFunctionParams, g, lead):
     """Branch rule of upsilon and upsilon_tilde around their leading term."""
     b2 = params.beta**2
@@ -172,7 +156,7 @@ def j_N(u: float, N: int) -> float:
     statement, not a uniform one. Along N with Nu an integer, Stirling
     gives the limit (1/2) (u(1-u))^{-1/2} on compacts of (0,1). A limit
     of the form (4u(1-u))^{-1} is also in circulation; it agrees with
-    the Stirling value only at u = 1/2. See j_N_limit_report.
+    the Stirling value only at u = 1/2.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0,1]")
@@ -185,31 +169,6 @@ def j_N(u: float, N: int) -> float:
     return math.exp(
         -N * _LOG2 + log_binom + 0.5 * math.log(math.pi * N / 2.0) + N * entropy_I(u)
     )
-
-
-def j_N_limit_report(u: float, N_list) -> dict:
-    """Convergence report for j_N at fixed u along a sequence of N.
-
-    Evaluates j_N at each N (callers wanting the clean limit should pick N
-    with N*u integral, which kills the floor oscillation) and compares the
-    tail value against the two candidate limits: the Stirling value
-    (1/2)(u(1-u))^{-1/2} and the alternative (4u(1-u))^{-1}. Reported, not
-    asserted."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie in (0,1) for a limit report")
-    values = [j_N(u, int(N)) for N in N_list]
-    stirling = 0.5 / math.sqrt(u * (1.0 - u))
-    alternative = 1.0 / (4.0 * u * (1.0 - u))
-    tail = values[-1]
-    return {
-        "u": u,
-        "N": list(N_list),
-        "values": values,
-        "stirling_limit": stirling,
-        "alternative_limit": alternative,
-        "tail_matches_stirling": abs(tail - stirling) < 0.02 * stirling,
-        "tail_matches_alternative": abs(tail - alternative) < 0.02 * alternative,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -152,45 +152,3 @@ def laplace_table_csv(rows: list[dict]) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def valley_profile_mc(
-    coeffs: GammaCoefficients,
-    level: float,
-    offsets,
-    samples: int,
-    rng,
-    k: int = 0,
-    bandwidth: float = 0.1,
-) -> dict:
-    """Conditional mean profile of the block around index k given U_k ~ level.
-
-    Kernel-window Monte Carlo: keep draws with |U_k - level| <= bandwidth and
-    average U_{k+i} over them; fewer than 50 kept draws is an error. The
-    exact bivariate-normal answer is ell * (1 - 2p|i|/N) with ell the
-    realized window mean of U_k, and is returned alongside for comparison.
-    """
-    offsets = np.asarray(list(offsets), dtype=int)
-    if not 0 <= k < coeffs.nu:
-        raise ValueError("k outside block")
-    if np.any((k + offsets) < 0) or np.any((k + offsets) >= coeffs.nu):
-        raise ValueError("offset leaves the block")
-    U = sample_block(coeffs, rng, samples)
-    window = np.abs(U[:, k] - level) <= bandwidth
-    n_win = int(window.sum())
-    if n_win < 50:
-        raise RuntimeError(
-            f"only {n_win} of {samples} draws landed in the conditioning window"
-        )
-    sel = U[window]
-    level_realized = float(sel[:, k].mean())
-    est = sel[:, k + offsets].mean(axis=0)
-    se = sel[:, k + offsets].std(ddof=1, axis=0) / math.sqrt(n_win)
-    exact = level_realized * np.array([coeffs.covariance(k, k + i) for i in offsets])
-    return {
-        "offsets": offsets,
-        "estimate": est,
-        "stderr": se,
-        "exact": exact,
-        "level_realized": level_realized,
-        "window_count": n_win,
-    }

@@ -250,7 +250,7 @@ def _cmd_aging(args) -> int:
     )
     if est.non_conclusive:
         raise NonConclusive(
-            f"excluded {est.excluded} of {est.replicas} replicas (over 5%)"
+            f"excluded {est.excluded} of {est.replicas} replicas (over the exclusion budget)"
         )
     return EXIT_OK
 
@@ -328,22 +328,18 @@ def _cmd_ehrenfest(args) -> int:
                 solved = ehrenfest_hitting_linear_solve(k, l, m, args.N)
                 worst = max(worst, abs(exact - solved))
                 pairs += 1
-    bound_ok = True
+    # no_backtrack_prob raises if it falls below exp(-nu^2/N)
     for nu in range(1, args.N + 1):
-        prob = no_backtrack_prob(args.N, nu)
-        if prob < math.exp(-(nu**2) / args.N) - 1e-12:
-            bound_ok = False
+        no_backtrack_prob(args.N, nu)
     out = _out_dir(args)
     _write_config(args, out, "ehrenfest_validate")
     _dump_json(out / "ehrenfest.json", {
         "N": args.N,
         "triples_checked": pairs,
         "max_abs_error": worst,
-        "no_backtrack_bound_ok": bound_ok,
+        "no_backtrack_bound_ok": True,
     })
-    print(f"ehrenfest N={args.N} max_abs_error={worst!r} bound_ok={bound_ok}")
-    if not bound_ok:
-        raise CliError("no_backtrack_prob broke its lower bound")
+    print(f"ehrenfest N={args.N} max_abs_error={worst!r} bound_ok=True")
     return EXIT_OK
 
 

@@ -178,17 +178,6 @@ def coarse_grain_clock(clock: ClockPath, params: ModelParams) -> RescaledClock:
     return RescaledClock(clock, params, params.nu())
 
 
-def coarse_grain_gap(clock: ClockPath, params: ModelParams) -> float:
-    """sup over [0, horizon_T] of (plain - coarse-grained) rescaled clock:
-    the largest intra-block accumulation, reported as a diagnostic."""
-    _require_coverage(clock, params)
-    k_max = params.r_steps(params.horizon_T)
-    nu = params.nu()
-    vals = np.exp(clock.log_values[: k_max + 1] - params.gamma * params.N)
-    base = vals[nu * (np.arange(k_max + 1) // nu)]
-    return float(np.max(vals - base))
-
-
 def truncation_level(params: ModelParams, m: float) -> float:
     """B_m = gamma sqrt(N)/beta - m/(beta sqrt(N)); increments with energy
     above this level are dropped by the truncated clock."""

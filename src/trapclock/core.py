@@ -13,10 +13,9 @@ Everything downstream shares three conventions defined here:
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -281,54 +280,6 @@ def _zeta_cached(p: int) -> float:
     from .analysis import zeta
 
     return zeta(p)
-
-
-_PARAM_FIELDS = tuple(f.name for f in fields(ModelParams))
-_PARAM_REQUIRED = ("N", "p", "beta", "gamma")
-
-
-def params_from_json(source) -> ModelParams:
-    """Build ModelParams from a JSON document (path, file object, or dict).
-
-    Field names must match exactly; unknown keys are an error so that typos in
-    experiment configs fail loudly instead of running the wrong experiment.
-    """
-    if isinstance(source, dict):
-        doc = dict(source)
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("parameter document must be a JSON object")
-    unknown = sorted(set(doc) - set(_PARAM_FIELDS))
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {', '.join(unknown)}")
-    missing = sorted(set(_PARAM_REQUIRED) - set(doc))
-    if missing:
-        raise ValueError(f"missing parameter keys: {', '.join(missing)}")
-    for key in ("N", "p", "seed"):
-        if key in doc:
-            doc[key] = _integral(key, doc[key])
-    return ModelParams(**doc)
-
-
-def _integral(key: str, value) -> int:
-    """`value` as an int when that keeps it unchanged (12 or 12.0, not 12.7,
-    "12" or true); otherwise a ValueError naming the key."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if isinstance(value, bool) or as_int is None or as_int != value:
-        raise ValueError(f"parameter key {key!r} takes an integer, got {value!r}")
-    return as_int
-
-
-def params_to_json(params: ModelParams) -> str:
-    doc = {name: getattr(params, name) for name in _PARAM_FIELDS}
-    return json.dumps(doc, sort_keys=True)
 
 
 def log_cumsum_exp(log_values: np.ndarray) -> np.ndarray:

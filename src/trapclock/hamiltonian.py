@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import RngStream, as_generator, gaussian_from_hash, mix64_array
+from .core import RngStream, gaussian_from_hash, mix64_array
 from .hypercube import SpinConfig, WalkTrajectory
 
 _DENSE_MAX_ENTRIES = 16_000_000
@@ -189,27 +189,3 @@ def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
         raise ValueError("dimension mismatch")
     return disorder._energy_of_packed(traj.position_bits())
 
-
-def overlap_matrix(traj: WalkTrajectory) -> np.ndarray:
-    bits = traj.position_bits()
-    d = np.bitwise_count(bits[:, None, :] ^ bits[None, :, :]).sum(axis=2)
-    return 1.0 - 2.0 * d.astype(np.float64) / traj.N
-
-
-def exact_trajectory_sample(
-    traj: WalkTrajectory, p: int, rng, max_len: int = 2000
-) -> np.ndarray:
-    """Sample the energies along a fixed trajectory directly from their joint
-    Gaussian law (covariance = pairwise overlap to the power p), bypassing any
-    coupling realization. Dense factorization, so lengths are capped."""
-    if traj.length > max_len:
-        raise ValueError(f"trajectory length {traj.length} exceeds {max_len}")
-    lam = overlap_matrix(traj) ** p
-    w, v = np.linalg.eigh(lam)
-    floor = -1e-8 * float(w.max())
-    if w.min() < floor:
-        raise ValueError(
-            f"covariance has eigenvalue {w.min():.3e}; not PSD within tolerance"
-        )
-    z = as_generator(rng).standard_normal(len(w))
-    return v @ (np.sqrt(np.clip(w, 0.0, None)) * z)

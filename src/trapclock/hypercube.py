@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,18 +141,6 @@ def sample_walk(N: int, k: int, rng, start: SpinConfig | None = None) -> WalkTra
 # ---------------------------------------------------------------------------
 
 
-def _ehrenfest_paths(N: int, steps: int, replicas: int, gen: np.random.Generator) -> np.ndarray:
-    """(replicas, steps) array of states Q_1..Q_steps of the Ehrenfest
-    chain, all started at 0: from i, down w.p. i/N, up w.p. 1 - i/N."""
-    states = np.zeros(replicas, dtype=np.int64)
-    out = np.empty((replicas, steps), dtype=np.int64)
-    for i in range(steps):
-        down = gen.random(replicas) * N < states
-        states = states + np.where(down, -1, 1)
-        out[:, i] = states
-    return out
-
-
 def ehrenfest_hitting_prob(k: int, l: int, m: int, N: int) -> float:
     """P_l[T_m < T_k] for the Ehrenfest chain, exact.
 
@@ -253,54 +240,3 @@ def no_backtrack_prob(N: int, nu: int) -> float:
         )
     return prob
 
-
-def return_statistic_rho(
-    N: int, nu: int, d: int, samples: int, rng
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected time the distance chain spends at
-    level d during steps 1..nu, started from 0. Returns (estimate, stderr)."""
-    if d > nu:
-        raise ValueError("d > nu: level unreachable within the window")
-    gen = as_generator(rng)
-    paths = _ehrenfest_paths(N, nu, samples, gen)
-    visits = (paths == d).sum(axis=1).astype(float)
-    est = float(visits.mean())
-    se = float(visits.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    if d == 0 and nu >= 2 and est < 1.0 / N - 3.0 * se:
-        warnings.warn(f"rho(0) estimate {est:.4g} below 1/N = {1 / N:.4g}", stacklevel=2)
-    if est > 2.0 + 3.0 * se:
-        warnings.warn(f"rho({d}) estimate {est:.4g} above the expected O(1) range", stacklevel=2)
-    return est, se
-
-
-def pair_distance_counts(traj: WalkTrajectory, nu: int, cap: int = 10_000) -> np.ndarray:
-    """Counts of vertex pairs (i < j) at each Hamming distance d, split by
-    block membership.
-
-    Returns an (N+1, 2) integer array: column 0 counts pairs whose indices
-    fall in different length-nu blocks, column 1 pairs in the same block.
-    The computation is quadratic in the trajectory length, so lengths above
-    `cap` are refused unless the caller raises `cap`. The packed-bit
-    representation keeps memory at (k+1)*ceil(N/8) bytes.
-    """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    k = traj.length
-    if k > cap:
-        raise ValueError(f"trajectory length {k} exceeds cap {cap}; pass a larger cap")
-    N = traj.N
-    counts = np.zeros((N + 1, 2), dtype=np.int64)
-    bits = traj.position_bits()
-    blocks = np.arange(k + 1) // nu
-    for j in range(1, k + 1):
-        d = np.bitwise_count(bits[:j] ^ bits[j]).sum(axis=1).astype(np.int64)
-        same = (blocks[:j] == blocks[j]).astype(np.int64)
-        np.add.at(counts, (d, same), 1)
-    return counts
-
-
-def pair_counts_to_csv(counts: np.ndarray) -> str:
-    lines = ["d,cross_count,same_count"]
-    for d in range(counts.shape[0]):
-        lines.append(f"{d},{counts[d, 0]},{counts[d, 1]}")
-    return "\n".join(lines) + "\n"

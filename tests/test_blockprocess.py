@@ -13,7 +13,6 @@ from trapclock.blockprocess import (
     laplace_table_csv,
     rescale_factor,
     sample_block,
-    valley_profile_mc,
 )
 from trapclock.core import ModelParams, RngStream
 
@@ -118,36 +117,3 @@ def test_laplace_table_csv_header():
     assert lines[0] == "N,u,estimate,stderr,rescaled"
     assert len(lines) == 2
 
-
-def test_valley_profile_against_gaussian_formula():
-    co = GammaCoefficients(100, 3, 9)
-    level = 1.5
-    offsets = [-3, -2, -1, 0, 1, 2, 3]
-    out = valley_profile_mc(co, level, offsets, 200_000, RngStream(6, 6), k=4)
-    # conditional means are anchored at the realized window mean of U_k
-    ell = out["level_realized"]
-    assert abs(ell - level) < 0.05
-    exact = [ell * (1.0 - 2.0 * 3 * abs(i) / 100) for i in offsets]
-    assert out["exact"] == pytest.approx(exact)
-    assert out["estimate"][offsets.index(0)] == pytest.approx(ell)
-    for est, se, ex in zip(out["estimate"], out["stderr"], exact):
-        assert abs(est - ex) < 4 * se + 0.02  # kernel-window bias allowance
-
-
-def test_valley_profile_linear_decay_symmetry():
-    co = GammaCoefficients(100, 3, 9)
-    out = valley_profile_mc(co, 1.0, [-2, 0, 2], 100_000, RngStream(8, 8), k=4)
-    # same |offset| means same conditional mean
-    assert out["exact"][0] == out["exact"][2]
-
-
-def test_valley_profile_requires_populated_window():
-    co = GammaCoefficients(100, 3, 5)
-    with pytest.raises(RuntimeError, match="window"):
-        valley_profile_mc(co, 8.0, [0, 1], 500, RngStream(9, 9), k=2, bandwidth=1e-6)
-
-
-def test_valley_profile_rejects_offsets_leaving_block():
-    co = GammaCoefficients(100, 3, 5)
-    with pytest.raises(ValueError):
-        valley_profile_mc(co, 1.0, [-1, 0], 500, RngStream(9, 9), k=0)

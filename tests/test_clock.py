@@ -9,7 +9,6 @@ from trapclock.clock import (
     clock_from_energies,
     clock_from_log_increments,
     coarse_grain_clock,
-    coarse_grain_gap,
     record_point_process,
     rescale_clock,
     simulate_clock,
@@ -121,23 +120,6 @@ def test_coarse_jumps_only_at_block_multiples():
     rate = math.sqrt(params.N) * math.exp(params.N * params.gamma**2 / (2 * params.beta**2))
     ids = np.asarray(path.jump_times) * rate / params.nu()
     assert np.allclose(ids, np.round(ids), atol=1e-9)
-
-
-def test_coarse_grain_gap_is_the_sup_distance():
-    params = _params()
-    steps = params.r_steps(1.0) + 1
-    _, clock, _ = simulate_clock(RemDisorder(16, RngStream(7, 1)), params, steps, RngStream(7, 2))
-    gap = coarse_grain_gap(clock, params)
-    bar = rescale_clock(clock, params)
-    tilde = coarse_grain_clock(clock, params)
-    rate = math.sqrt(params.N) * math.exp(params.N * params.gamma**2 / (2 * params.beta**2))
-    # sampling just below each step boundary realizes the sup exactly; the
-    # horizon itself reads the last step index the gap covers
-    ts = (np.arange(1, clock.steps + 1) - 1e-9) / rate
-    ts = np.append(ts[ts <= 1.0], params.horizon_T)
-    dense_sup = np.max(bar.value_at(ts) - tilde.value_at(ts))
-    assert gap == pytest.approx(dense_sup, rel=1e-9)
-    assert gap >= 0.0
 
 
 def test_truncation_level_formula():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import trapclock
 from trapclock.core import (
     ModelParams,
     RngStream,
@@ -19,12 +19,18 @@ from trapclock.core import (
     mix64,
     mix64_array,
     mix64_inplace,
-    params_from_json,
-    params_to_json,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+
+
+def test_public_names_resolve_once():
+    # a stale entry would break `from trapclock import *`
+    names = trapclock.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(trapclock, name) is not None
 
 
 def test_mix64_reference_sequence():
@@ -114,38 +120,6 @@ def test_derive_scales_flags_inadmissible_gamma():
         rep = derive_scales(params)
     assert not rep.admissible
     assert rep.notes  # warning recorded, not an error
-
-
-def test_params_json_round_trip(tmp_path):
-    params = ModelParams(N=24, p=4, beta=1.5, gamma=0.9, omega=0.7, horizon_T=2.0, seed=99)
-    assert params_from_json(json.loads(params_to_json(params))) == params
-    path = tmp_path / "params.json"
-    path.write_text(params_to_json(params))
-    assert params_from_json(path) == params
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [("N", 12.7), ("p", 3.9), ("seed", 2.5), ("N", True), ("seed", False),
-     ("p", "3"), ("N", None), ("seed", float("inf")), ("seed", float("nan"))],
-)
-def test_params_json_refuses_what_int_would_change(key, value):
-    doc = {"N": 12, "p": 3, "beta": 1.0, "gamma": 0.5, key: value}
-    with pytest.raises(ValueError, match=f"'{key}' takes an integer"):
-        params_from_json(doc)
-
-
-def test_params_json_takes_integral_floats():
-    doc = {"N": 12.0, "p": 3.0, "beta": 1.0, "gamma": 0.5, "seed": 7.0}
-    params = params_from_json(doc)
-    assert (params.N, params.p, params.seed) == (12, 3, 7)
-    assert all(type(x) is int for x in (params.N, params.p, params.seed))
-
-
-def test_params_json_rejects_unknown_keys():
-    doc = {"N": 10, "p": 3, "beta": 1.0, "gamma": 0.5, "bet": 2.0}
-    with pytest.raises(ValueError, match="bet"):
-        params_from_json(doc)
 
 
 def test_rng_stream_reproducible_and_distinct():

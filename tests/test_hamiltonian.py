@@ -6,13 +6,7 @@ import scipy.stats
 from scipy.special import ndtri
 
 from trapclock.core import RngStream, mix64
-from trapclock.hamiltonian import (
-    PSpinDisorder,
-    RemDisorder,
-    exact_trajectory_sample,
-    overlap_matrix,
-    trajectory_energies,
-)
+from trapclock.hamiltonian import PSpinDisorder, RemDisorder, trajectory_energies
 from trapclock.hypercube import SpinConfig, WalkTrajectory, overlap, sample_walk
 
 _MASK = (1 << 64) - 1
@@ -196,54 +190,3 @@ def test_trajectory_energies_rem_revisit():
     assert es[0] == es[2] == es[4]
     assert es[1] != es[0]
 
-
-def test_overlap_matrix_structure():
-    traj = sample_walk(7, 12, RngStream(14, 2))
-    om = overlap_matrix(traj)
-    assert np.array_equal(om, om.T)
-    assert np.allclose(np.diag(om), 1.0)
-    for i in (0, 3, 9):
-        for j in (1, 5, 12):
-            assert om[i, j] == pytest.approx(overlap(traj.config_at(i), traj.config_at(j)))
-
-
-def test_exact_trajectory_sample_single_point():
-    traj = WalkTrajectory(SpinConfig(8, 0), ())
-    draws = np.array(
-        [exact_trajectory_sample(traj, 3, RngStream(90, i))[0] for i in range(3000)]
-    )
-    _, pvalue = scipy.stats.kstest(draws, "norm")
-    assert pvalue > 0.01
-
-
-def test_exact_trajectory_sample_pair_correlation():
-    # two points at distance 1, N=8, p=3: rho = (1 - 2/8)^3
-    traj = WalkTrajectory(SpinConfig(8, 0), (0,))
-    xs = np.array([exact_trajectory_sample(traj, 3, RngStream(91, i)) for i in range(6000)])
-    rho = np.corrcoef(xs.T)[0, 1]
-    target = 0.75**3
-    se = (1.0 - target**2) / math.sqrt(xs.shape[0])
-    assert abs(rho - target) < 4 * se
-
-
-def test_exact_sampler_and_disorder_agree_in_law():
-    """Dual route: the Gram-factorized sampler and the coupling-tensor field
-    must produce the same mean vector and covariance matrix."""
-    traj = sample_walk(8, 3, RngStream(15, 15))
-    n = 4000
-    via_disorder = np.array(
-        [trajectory_energies(PSpinDisorder(8, 3, RngStream(600, i)), traj) for i in range(n)]
-    )
-    via_factor = np.array([exact_trajectory_sample(traj, 3, RngStream(601, i)) for i in range(n)])
-    target = overlap_matrix(traj) ** 3
-    for sample in (via_disorder, via_factor):
-        assert np.max(np.abs(sample.mean(axis=0))) < 4.0 / math.sqrt(n)
-        cov = np.cov(sample.T)
-        se = np.sqrt((1.0 + target**2) / (n - 1))
-        assert np.all(np.abs(cov - target) < 4 * se)
-
-
-def test_exact_trajectory_sample_rejects_long_trajectories():
-    traj = sample_walk(6, 60, RngStream(7, 7))
-    with pytest.raises(ValueError):
-        exact_trajectory_sample(traj, 3, RngStream(1, 1), max_len=50)

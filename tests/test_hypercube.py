@@ -20,9 +20,6 @@ from trapclock.hypercube import (
     mixing_constant_estimate,
     no_backtrack_prob,
     overlap,
-    pair_counts_to_csv,
-    pair_distance_counts,
-    return_statistic_rho,
     sample_walk,
 )
 
@@ -179,64 +176,6 @@ def test_no_backtrack_lower_bound():
 def test_no_backtrack_rejects_nu_above_n():
     with pytest.raises(ValueError):
         no_backtrack_prob(4, 5)
-
-
-def test_return_statistic_rho_first_step_is_certain():
-    est, err = return_statistic_rho(16, 1, 1, 500, RngStream(3, 0))
-    assert est == 1.0
-    assert err == 0.0
-
-
-def test_return_statistic_rho_matches_matrix_oracle():
-    N, nu, d = 50, 7, 3
-    exact = sum(distance_distribution(N, i)[d] for i in range(1, nu + 1))
-    est, err = return_statistic_rho(N, nu, d, 20_000, RngStream(21, 5))
-    assert abs(est - exact) < 3 * err + 1e-9
-
-
-def test_return_statistic_rho_origin_bound():
-    N, nu = 30, 5
-    est, err = return_statistic_rho(N, nu, 0, 20_000, RngStream(22, 5))
-    assert est >= 1.0 / N - 3 * err
-
-
-def test_pair_distance_counts_two_distinct_flips():
-    traj = WalkTrajectory(SpinConfig(8, 0), (0, 1))
-    counts = pair_distance_counts(traj, 4)
-    assert counts[2, 1] == 1  # the endpoints pair
-    assert counts[0, 1] == 0
-    assert counts[:, 0].sum() == 0  # three points, one block
-
-
-def test_pair_distance_counts_backtracking_flip():
-    traj = WalkTrajectory(SpinConfig(8, 0), (3, 3))
-    counts = pair_distance_counts(traj, 4)
-    assert counts[0, 1] == 1  # revisit pair (0, 2)
-
-
-def test_pair_distance_counts_total():
-    traj = sample_walk(10, 40, RngStream(5, 5))
-    counts = pair_distance_counts(traj, 7)
-    assert counts.sum() == 41 * 40 // 2
-
-
-def test_pair_distance_counts_same_block_short_range():
-    traj = sample_walk(16, 512, RngStream(8, 2))
-    nu = 4
-    counts = pair_distance_counts(traj, nu)
-    assert counts[nu + 1 :, 1].sum() == 0
-
-
-def test_pair_distance_counts_cap_enforced():
-    traj = sample_walk(6, 60, RngStream(2, 2))
-    with pytest.raises(ValueError, match="larger cap"):
-        pair_distance_counts(traj, 3, cap=10)
-
-
-def test_pair_counts_csv_header():
-    traj = sample_walk(6, 8, RngStream(1, 1))
-    text = pair_counts_to_csv(pair_distance_counts(traj, 2))
-    assert text.splitlines()[0] == "d,cross_count,same_count"
 
 
 def test_walk_matches_ehrenfest_projection():
