@@ -203,6 +203,25 @@ def test_j_N_quarter_stirling_limit():
     assert j_N(0.25, 4000) == pytest.approx(2.0 / math.sqrt(3.0), abs=2e-3)
 
 
+def test_j_N_limit_report_quarter():
+    # along N divisible by 4 the error to the Stirling limit shrinks, and the
+    # alternative (4u(1-u))^{-1} = 4/3 in circulation is ruled out
+    stirling = 2.0 / math.sqrt(3.0)
+    errs = [abs(j_N(0.25, N) - stirling) for N in (40, 400, 4000)]
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 0.02 * stirling
+    assert abs(j_N(0.25, 4000) - 4.0 / 3.0) > 0.02 * (4.0 / 3.0)
+
+
+def test_j_N_limit_report_half_degenerate():
+    # at u = 1/2 the Stirling limit and the alternative coincide at 1, so
+    # this point cannot tell them apart
+    u = 0.5
+    assert 0.5 / math.sqrt(u * (1.0 - u)) == pytest.approx(1.0)
+    assert 1.0 / (4.0 * u * (1.0 - u)) == pytest.approx(1.0)
+    assert j_N(u, 2000) == pytest.approx(1.0, rel=0.02)
+
+
 def test_j_N_sqrt_growth_bound_on_lattice():
     # the entropy bound binom(N,k) <= 2^N e^{-N I(k/N)} pins j_N at
     # lattice points; off-lattice the floor drifts (see next test)

@@ -122,6 +122,28 @@ def test_coarse_jumps_only_at_block_multiples():
     assert np.allclose(ids, np.round(ids), atol=1e-9)
 
 
+def test_coarse_grain_gap_is_the_sup_distance():
+    # the sup over [0, T] of (plain - coarse-grained) rescaled clock is the
+    # largest intra-block accumulation, read off the raw log clock values
+    params = _params()
+    steps = params.r_steps(1.0) + 1
+    _, clock, _ = simulate_clock(RemDisorder(16, RngStream(7, 1)), params, steps, RngStream(7, 2))
+    k_max = params.r_steps(params.horizon_T)
+    nu = params.nu()
+    vals = np.exp(clock.log_values[: k_max + 1] - params.gamma * params.N)
+    gap = float(np.max(vals - vals[nu * (np.arange(k_max + 1) // nu)]))
+    bar = rescale_clock(clock, params)
+    tilde = coarse_grain_clock(clock, params)
+    rate = math.sqrt(params.N) * math.exp(params.N * params.gamma**2 / (2 * params.beta**2))
+    # sampling just below each step boundary realizes the sup exactly; the
+    # horizon itself reads the last step index the gap covers
+    ts = (np.arange(1, clock.steps + 1) - 1e-9) / rate
+    ts = np.append(ts[ts <= 1.0], params.horizon_T)
+    dense_sup = np.max(bar.value_at(ts) - tilde.value_at(ts))
+    assert gap == pytest.approx(dense_sup, rel=1e-9)
+    assert gap > 0.0
+
+
 def test_truncation_level_formula():
     params = _params()
     m = 1.7
