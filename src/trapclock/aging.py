@@ -11,10 +11,12 @@ Everything here runs at fixed finite N, so the estimators are Monte Carlo
 over fresh environments (and, optionally, over environments with a frozen
 jump chain). One batch kernel serves the REM and the dense p-spin model,
 which in the source paper age alike: the walk, the clock and the crossing
-detection are shared, and only the site energies differ. REM energies come
-from the counter-based hash of `RemDisorder`, so revisits see the same trap
-depth without storing the visited set; p-spin energies come from each
-replica's dense couplings (`PSpinDisorder.energy_of_bits`). On the scale
+detection are shared, and only the site energies differ. A site is the
+one-word row of the configuration format `hypercube` defines (N <= 64, so
+the word is `SpinConfig.bits`). REM energies come from the counter-based
+hash of `RemDisorder`, so revisits see the same trap depth without storing
+the visited set; p-spin energies come from each replica's dense couplings
+(`PSpinDisorder.energy_of_words`). On the scale
 e**(gamma*N) the clock is carried by deep traps, so the REM kernel hashes
 every visited site but gives a depth, an exponential weight and a wait only
 to sites at or above a level z0; shallower visits add nothing. z0 is set
@@ -187,7 +189,7 @@ def _clock_series(
     """
     if keys.dtype == object:
         for i, disorder in enumerate(keys):
-            out[i] = disorder.energy_of_bits(sites[i])
+            out[i] = disorder.energy_of_words(sites[i, :, None])
         inc, spare, idx = out, h.view(np.float64), None
     else:
         np.add(sites, keys[:, None], out=h)
@@ -251,22 +253,12 @@ def _deep_floor(z0: float) -> int:
     return lo << 11
 
 
-def _kernel_scales(
-    params: ModelParams,
-    t: float,
-    s: float,
-    chunk: int | None,
-    step_cap: int,
-    dropped: float,
-):
+def _kernel_scales(params: ModelParams, t: float, s: float, step_cap: int, dropped: float):
     """(nu, chunk, targets, root, floor) shared by the aging and frozen
     kernels; `floor` is the REM deep floor that drops at most `dropped`
     times the first target (`_deep_level`), 0 for ``dropped == 0``."""
     nu = params.nu()
-    if chunk is None:
-        chunk = max(nu, (2048 // nu) * nu)
-    if chunk % nu != 0:
-        raise ValueError("chunk length must be a multiple of nu")
+    chunk = max(nu, (2048 // nu) * nu)
     wall = math.exp(params.gamma * params.N)
     targets = (t * wall, (t + s) * wall)
     root = params.beta * math.sqrt(params.N)
@@ -310,9 +302,7 @@ def _aging_kernel(
             raise ValueError("p-spin kernel needs beta > 0")
     elif mode != "rem":
         raise ValueError(f"unknown mode {mode!r}")
-    nu, chunk, targets, root, floor = _kernel_scales(
-        params, t, s, None, step_cap, dropped
-    )
+    nu, chunk, targets, root, floor = _kernel_scales(params, t, s, step_cap, dropped)
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
 
     def job(lo: int):
@@ -457,9 +447,7 @@ def _frozen_kernel(
     run on up to one thread per core; `dropped` is as in `_aging_kernel`.
     Returns a list of (dist, excluded) pairs, one per group.
     """
-    nu, chunk, targets, root, floor = _kernel_scales(
-        params, t, s, None, step_cap, dropped
-    )
+    nu, chunk, targets, root, floor = _kernel_scales(params, t, s, step_cap, dropped)
     ids = np.arange(replicas_per_group, dtype=np.uint64)
     jobs = []
     for g in range(groups):

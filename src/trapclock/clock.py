@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, RngStream, as_generator, log_cumsum_exp
+from .core import ModelParams, RngStream, log_cumsum_exp
 from .hamiltonian import trajectory_energies
 from .hypercube import WalkTrajectory, sample_walk
 from .skorokhod import CadlagStepPath
@@ -78,27 +78,23 @@ def clock_from_energies(
 
 
 def simulate_clock(
-    disorder, params: ModelParams, steps: int, rng
+    disorder, params: ModelParams, steps: int, rng: RngStream
 ) -> tuple[WalkTrajectory, ClockPath, np.ndarray]:
     """Simulate `steps` walk steps and the attached clock. The returned
     energy sequence has length steps+1 (one value per visited vertex);
     increment i uses energies[i].
 
-    An RngStream gives the flips from its substream 1 and the waits from
-    its substream 2; a bare Generator gives all the flips, then the waits.
+    The flips come from substream 1 of `rng` and the waits from substream 2.
     """
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"rng must be an RngStream, got {type(rng).__name__}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if disorder.N != params.N:
         raise ValueError("disorder and params disagree on N")
-    if isinstance(rng, RngStream):
-        walk_gen = rng.substream(1).generator()
-        wait_gen = rng.substream(2).generator()
-    else:
-        walk_gen = wait_gen = as_generator(rng)
-    traj = sample_walk(params.N, steps, walk_gen)
+    traj = sample_walk(params.N, steps, rng.substream(1).generator())
     energies = trajectory_energies(disorder, traj)
-    waits = wait_gen.exponential(size=steps)
+    waits = rng.substream(2).generator().exponential(size=steps)
     return traj, clock_from_energies(energies[:-1], waits, params), energies
 
 

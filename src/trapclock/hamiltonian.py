@@ -13,12 +13,13 @@ E[H(sigma) H(tau)] = overlap(sigma, tau)^p:
   vertex, realized as a pure hash of the configuration bits so no table of
   size 2^N exists anywhere.
 
-Both evaluate rows of packed configuration bits with one method,
-`_energy_of_packed`, for every N, so energies along a walk trajectory come
-in one pass. The REM folds each row's high words into the key and hashes
-the low word. For p-spin couplings the rows are unpacked into sign columns
-and contracted in row blocks: dense couplings contract the whole tensor,
-hashed couplings one first-index slab of N^{p-1} couplings at a time.
+Each has one evaluator, `energy_of_words`, on rows of uint64 configuration
+words as `hypercube` builds them, for every N, so energies along a walk
+trajectory come in one pass. The REM folds each row's high words into the
+key and hashes the low word. For p-spin couplings the rows are unpacked into
+sign columns and contracted in row blocks: dense couplings contract the
+whole tensor, hashed couplings one first-index slab of N^{p-1} couplings at
+a time.
 """
 
 from __future__ import annotations
@@ -38,15 +39,14 @@ _FOLD_FLOATS = 1 << 16
 
 class _Landscape:
     """Single-configuration access shared by both landscapes; every energy
-    comes from the subclass's `_energy_of_packed`."""
+    comes from the subclass's `energy_of_words`."""
 
     N: int
 
     def energy(self, config: SpinConfig) -> float:
         if config.N != self.N:
             raise ValueError("configuration dimension mismatch")
-        packed = np.frombuffer(config.packed(), np.uint8)[None]
-        return float(self._energy_of_packed(packed)[0])
+        return float(self.energy_of_words(config.words()[None])[0])
 
     def energy_delta(self, config: SpinConfig, flip_index: int, cache: dict):
         """Energy after flipping one spin, evaluated directly, and the cache
@@ -81,7 +81,6 @@ class PSpinDisorder(_Landscape):
         self.N = N
         self.p = p
         self.mode = mode
-        self.stream = stream
         self._norm = N ** (-p / 2.0)
         if mode == "dense":
             self.couplings = stream.generator().standard_normal((N,) * p)
@@ -115,20 +114,14 @@ class PSpinDisorder(_Landscape):
 
     # -- energies -----------------------------------------------------------
 
-    def energy_of_bits(self, bits) -> np.ndarray:
-        """Energies of configurations given as bit integers (N <= 64), one
-        per entry of `bits`."""
-        bits = np.asarray(bits, dtype="<u8")
-        packed = bits.reshape(-1, 1).view(np.uint8)
-        return self._energy_of_packed(packed).reshape(bits.shape)
-
-    def _energy_of_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Energies of rows of little-endian packed bits (bit i set: spin i
-        is -1), one sign column per row (BLAS runs several times slower on a
+    def energy_of_words(self, words: np.ndarray) -> np.ndarray:
+        """Energies of rows of configuration words (bit i set: spin i is
+        -1), one sign column per row (BLAS runs several times slower on a
         transposed view). Hashed couplings sum signs[i] times the contracted
         slab of first index i, so memory stays at N^{p-1}. Row blocks keep
         the sign block and the first fold product near _FOLD_FLOATS floats;
         a slab has one axis fewer than the tensor."""
+        packed = words.astype("<u8", copy=False).view(np.uint8)
         out = np.empty(packed.shape[0])
         axes = self.p - (self.mode == "hashed")
         step = max(1, _FOLD_FLOATS // max(self.N, self.N ** (axes - 1)))
@@ -150,9 +143,8 @@ class PSpinDisorder(_Landscape):
 class RemDisorder(_Landscape):
     """I.i.d. standard normal per vertex, as a pure function of the bits.
 
-    The packed bits of a configuration, read as little-endian 64-bit words
-    w_0 ... w_{W-1}, fold into the key as key = mix64(key ^ mix64(w_j)) for
-    j >= 1, and the energy is ``gaussian_from_hash(key, w_0)``. For N <= 64
+    The words w_0 ... w_{W-1} of a configuration fold into the key as
+    key = mix64(key ^ mix64(w_j)) for j >= 1, and the energy is ``gaussian_from_hash(key, w_0)``. For N <= 64
     that is ``gaussian_from_hash(key, bits)``, the trap depth the aging
     kernel draws for the same key.
     """
@@ -161,20 +153,15 @@ class RemDisorder(_Landscape):
         if N < 1:
             raise ValueError("N must be >= 1")
         self.N = N
-        self.stream = stream
         self._key = stream.hash_key()
 
     @classmethod
     def from_seed(cls, seed: int, N: int) -> "RemDisorder":
         return cls(N, RngStream(seed, 102))
 
-    def _energy_of_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Energies of rows of little-endian packed bits, one per row; each
-        fold step runs on one word column of all rows at once."""
-        rows, nbytes = packed.shape
-        words = np.zeros((rows, 8 * ((nbytes + 7) // 8)), dtype=np.uint8)
-        words[:, :nbytes] = packed
-        words = words.view("<u8")
+    def energy_of_words(self, words: np.ndarray) -> np.ndarray:
+        """Energies of rows of configuration words, one per row; each fold
+        step runs on one word column of all rows at once."""
         key = np.uint64(self._key)
         for j in range(1, words.shape[1]):
             key = mix64_array(key ^ mix64_array(words[:, j]))
@@ -183,9 +170,9 @@ class RemDisorder(_Landscape):
 
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
     """X(i) = H(Y(i)) along the trajectory, length k+1, in one pass over the
-    packed visited configurations: a hash per site for the REM, a
+    word rows of the visited configurations: a hash per site for the REM, a
     row-blocked contraction for p-spin couplings."""
     if disorder.N != traj.N:
         raise ValueError("dimension mismatch")
-    return disorder._energy_of_packed(traj.position_bits())
+    return disorder.energy_of_words(traj.position_words())
 

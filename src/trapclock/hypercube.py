@@ -2,23 +2,28 @@
 
 Configurations are stored bit-packed (bit i set means spin i is -1), so
 Hamming distances are XOR + popcount and a trajectory of length k costs
-O(k) ints of memory, not O(kN). The distance-to-start process is the
-Ehrenfest birth-death chain on {0..N}; exact hitting probabilities and the
-full distribution after k steps are computed here and cross-checked against
-a linear-system solve in the tests.
+O(k) ints of memory, not O(kN). This module alone builds the array form of
+configurations that the other layers read: rows of ceil(N/64) uint64
+words, low word first, spin i in bit i % 64 of word i // 64, so for N <= 64
+a row is the single word `SpinConfig.bits`.
+
+The distance-to-start process is the Ehrenfest birth-death chain on
+{0..N}; exact hitting probabilities and the full distribution after k
+steps are computed here and cross-checked against a linear-system solve in
+the tests.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .core import as_generator
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,11 @@ class SpinConfig:
             raise IndexError(f"coordinate {i} out of range")
         return SpinConfig(self.N, self.bits ^ (1 << i))
 
-    def packed(self) -> bytes:
-        return self.bits.to_bytes((self.N + 7) // 8, "little")
+    def words(self) -> np.ndarray:
+        """The configuration as one row of ceil(N/64) uint64 words, low word
+        first: spin i is bit i % 64 of word i // 64."""
+        nwords = (self.N + 63) // 64
+        return np.array([self.bits >> (64 * j) & _WORD for j in range(nwords)], dtype=np.uint64)
 
 
 def hamming(a: SpinConfig, b: SpinConfig) -> int:
@@ -89,43 +97,18 @@ class WalkTrajectory:
         an odd number of times among the first k flips inverted."""
         if not 0 <= k <= self.length:
             raise IndexError("step index out of range")
-        odd = (np.bincount(self.flips[:k], minlength=self.N) & 1).astype(np.uint8)
-        mask = np.packbits(odd, bitorder="little").tobytes()
-        return SpinConfig(self.N, self.start.bits ^ int.from_bytes(mask, "little"))
+        odd = np.flatnonzero(np.bincount(self.flips[:k], minlength=self.N) & 1)
+        return SpinConfig(self.N, self.start.bits ^ sum(1 << int(i) for i in odd))
 
-    def positions(self) -> list[SpinConfig]:
-        return [
-            SpinConfig(self.N, int.from_bytes(row.tobytes(), "little"))
-            for row in self.position_bits()
-        ]
-
-    def position_bits(self) -> np.ndarray:
-        """(length+1, ceil(N/8)) packed uint8 array of all visited vertices."""
-        nbytes = (self.N + 7) // 8
-        masks = np.zeros((self.length + 1, nbytes), dtype=np.uint8)
-        masks[0] = np.frombuffer(self.start.packed(), dtype=np.uint8)
+    def position_words(self) -> np.ndarray:
+        """(length+1, ceil(N/64)) uint64 word rows of all visited vertices."""
+        masks = np.zeros((self.length + 1, (self.N + 63) // 64), dtype=np.uint64)
+        masks[0] = self.start.words()
         if self.length:
             rows = np.arange(1, self.length + 1)
-            masks[rows, self.flips // 8] = np.uint8(1) << (self.flips % 8).astype(np.uint8)
+            masks[rows, self.flips // 64] = np.uint64(1) << (self.flips % 64).astype(np.uint64)
             np.bitwise_xor.accumulate(masks, axis=0, out=masks)
         return masks
-
-    def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(struct.pack("<QQ", self.N, self.length))
-        buf.write(self.start.packed())
-        buf.write(self.flips.astype("<u4").tobytes())
-        return buf.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "WalkTrajectory":
-        N, k = struct.unpack_from("<QQ", data, 0)
-        off = 16
-        nbytes = (N + 7) // 8
-        bits = int.from_bytes(data[off : off + nbytes], "little")
-        off += nbytes
-        flips = np.frombuffer(data, dtype="<u4", count=k, offset=off)
-        return cls(SpinConfig(int(N), bits), flips)
 
 
 def sample_walk(N: int, k: int, rng, start: SpinConfig | None = None) -> WalkTrajectory:

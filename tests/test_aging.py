@@ -341,8 +341,8 @@ def test_chunks_keep_the_element_budget(monkeypatch, shared):
     # past the cap
     n0, chunk = 32, 8
     cap = aging._step_cap(PARAMS, 2.0, 4.0)
-    nu, chunk, targets, root, floor = aging._kernel_scales(
-        PARAMS, 1.0, 1.0, chunk, cap, aging._DROPPED_MASS
+    nu, _, targets, root, floor = aging._kernel_scales(
+        PARAMS, 1.0, 1.0, cap, aging._DROPPED_MASS
     )
     shapes = []
     clock_series = aging._clock_series
@@ -384,7 +384,7 @@ def test_shared_walk_batch_matches_per_replica_for_one_replica():
     for factor in (8.0, 0.3):
         cap = aging._step_cap(PARAMS, 2.0, factor)
         nu, chunk, targets, root, floor = aging._kernel_scales(
-            PARAMS, 1.0, 1.0, None, cap, aging._DROPPED_MASS
+            PARAMS, 1.0, 1.0, cap, aging._DROPPED_MASS
         )
         for i in range(keys.size):
             runs = []
@@ -407,9 +407,9 @@ def _batch_distance_matching_simulate_clock(params, keys, disorder, stream, chun
     # Above a dropped mass of 0 the reference clock gives the steps below
     # the deep floor a -inf log increment and the deep steps the waits
     # stream's draws in step order
-    nu, chunk, *_ = aging._kernel_scales(params, 0.2, 1.0, None, 1, 0.0)
+    nu, chunk, *_ = aging._kernel_scales(params, 0.2, 1.0, 1, 0.0)
     cap = chunks * chunk
-    _, _, targets, root, floor = aging._kernel_scales(params, 0.2, 1.0, chunk, cap, dropped)
+    _, _, targets, root, floor = aging._kernel_scales(params, 0.2, 1.0, cap, dropped)
     dist, excluded, vstar = aging._aging_batch(
         keys, stream.substream(1).generator(), stream.substream(2).generator(),
         params.N, nu, root, targets, cap, chunk, floor,
@@ -426,8 +426,8 @@ def _batch_distance_matching_simulate_clock(params, keys, disorder, stream, chun
     values = clock.values
     k1, k2 = (int(np.argmax(values > target)) for target in targets)
     assert not excluded[0] and 0 < k1 <= k2
-    bits = traj.position_bits()
-    assert dist[0] == np.bitwise_count(bits[k1 - 1] ^ bits[k2 - 1]).sum()
+    words = traj.position_words()
+    assert dist[0] == np.bitwise_count(words[k1 - 1] ^ words[k2 - 1]).sum()
     boundaries = values[nu::nu]
     want = boundaries[np.argmax(boundaries > targets[0])]
     assert vstar[0] == pytest.approx(want, rel=1e-9)
@@ -524,7 +524,7 @@ def test_deep_floor_keeps_exactly_the_deep_sites():
     depths = gaussian_from_hash(key, sites)
     hashes = mix64_array(sites + np.uint64(key))
     cap = aging._step_cap(CRITERION_7, 2.0, 8.0)
-    *_, default = aging._kernel_scales(CRITERION_7, 1.0, 1.0, None, cap, aging._DROPPED_MASS)
+    *_, default = aging._kernel_scales(CRITERION_7, 1.0, 1.0, cap, aging._DROPPED_MASS)
     for floor in [aging._deep_floor(z0) for z0 in (-1.5, 0.0, 0.05, 1.85, 3.0)] + [default]:
         kept = hashes >= np.uint64(floor)
         assert 0 < kept.sum() < kept.size
@@ -555,7 +555,7 @@ def test_deep_level_bounds_the_dropped_mass(root, target1, cap, dropped):
 def test_beta_zero_keeps_nearly_every_site():
     params = ModelParams(N=10, p=3, beta=0.0, gamma=0.5, horizon_T=3.0)
     cap = aging._step_cap(params, 2.0, 8.0)
-    *_, floor = aging._kernel_scales(params, 1.0, 1.0, None, cap, aging._DROPPED_MASS)
+    *_, floor = aging._kernel_scales(params, 1.0, 1.0, cap, aging._DROPPED_MASS)
     assert 0 < floor <= 1e-6 * 2.0**64
 
 

@@ -202,7 +202,7 @@ def test_record_point_process_gaps_look_exponential():
 @pytest.mark.parametrize("kind", ["rem", "dense"])
 def test_simulate_clock_stream_contract(kind):
     """Flips from substream 1, waits from substream 2, energies from
-    trajectory_energies; a bare Generator gives the flips, then the waits."""
+    trajectory_energies; a bare Generator is refused."""
     params = _params()
     k = 400
     if kind == "rem":
@@ -222,14 +222,8 @@ def test_simulate_clock_stream_contract(kind):
     assert np.array_equal(traj2.flips, traj.flips)
     assert clock2.log_values.tobytes() == clock.log_values.tobytes()
     assert energies2.tobytes() == energies.tobytes()
-
-    ref = np.random.default_rng(12)
-    flips = ref.integers(0, 16, size=k)
-    waits = ref.exponential(size=k)
-    traj, clock, energies = simulate_clock(dis, params, k, np.random.default_rng(12))
-    assert np.array_equal(traj.flips, flips)
-    want = clock_from_energies(energies[:-1], waits, params)
-    assert clock.log_values.tobytes() == want.log_values.tobytes()
+    with pytest.raises(TypeError, match="RngStream"):
+        simulate_clock(dis, params, k, np.random.default_rng(12))
 
 
 def test_clock_log_increments_round_trip():

@@ -108,13 +108,13 @@ def test_rem_distinct_sites_decorrelated():
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_energy_of_bits_matches_energy(p):
     # 512 configurations span several row blocks at p = 4 (dense)
-    bits = np.arange(512, dtype=np.uint64).reshape(16, 32)
+    words = np.arange(512, dtype=np.uint64)[:, None]
     for mode in ("dense", "hashed"):
         dis = PSpinDisorder(9, p, RngStream(13, p), mode=mode)
-        es = dis.energy_of_bits(bits)
-        assert es.shape == bits.shape
-        want = [dis.energy(SpinConfig(9, int(b))) for b in bits.ravel()]
-        assert np.max(np.abs(es.ravel() - want)) < 1e-12
+        es = dis.energy_of_words(words)
+        assert es.shape == (512,)
+        want = [dis.energy(SpinConfig(9, b)) for b in range(512)]
+        assert np.max(np.abs(es - want)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["dense", "hashed"])
@@ -154,9 +154,10 @@ def _rem_reference_energy(dis, bits):
 def test_rem_energies_match_reference_fold(N):
     traj = sample_walk(N, 300, RngStream(23, 3))
     dis = RemDisorder(N, RngStream(23, 4))
-    want = [_rem_reference_energy(dis, c.bits) for c in traj.positions()]
+    configs = [traj.config_at(k) for k in range(traj.length + 1)]
+    want = [_rem_reference_energy(dis, c.bits) for c in configs]
     assert list(trajectory_energies(dis, traj)) == want
-    assert [dis.energy(c) for c in traj.positions()[:20]] == want[:20]
+    assert [dis.energy(c) for c in configs[:20]] == want[:20]
 
 
 def test_rem_trajectory_energies_beyond_64_spins():
@@ -165,7 +166,7 @@ def test_rem_trajectory_energies_beyond_64_spins():
     dis = RemDisorder(70, RngStream(23, 2))
     es = trajectory_energies(dis, traj)
     assert es.shape == (201,)
-    assert list(es) == [dis.energy(c) for c in traj.positions()]
+    assert list(es) == [dis.energy(traj.config_at(k)) for k in range(201)]
     es = trajectory_energies(dis, WalkTrajectory(SpinConfig(70, 0), (66, 66, 3, 3)))
     assert es[0] == es[2] == es[4]
     assert es[1] != es[0]

@@ -1,6 +1,4 @@
-import hashlib
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -8,6 +6,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trapclock import aging
 from trapclock.core import RngStream
 from trapclock.hypercube import (
     SpinConfig,
@@ -59,32 +58,26 @@ def test_walk_consecutive_configs_differ_by_one():
         assert hamming(traj.config_at(k), traj.config_at(k + 1)) == 1
 
 
-def test_walk_bytes_format_is_pinned():
-    """The serialized form: N and length as little-endian u64, the packed
-    start, then one little-endian u32 per flip."""
-    walk = WalkTrajectory(SpinConfig(10, 0b1000000101), (0, 9, 3, 3, 7))
-    data = walk.to_bytes()
-    assert data.hex() == (
-        "0a00000000000000" "0500000000000000" "0502"
-        "00000000" "09000000" "03000000" "03000000" "07000000"
-    )
-    back = WalkTrajectory.from_bytes(data)
-    assert back.start == walk.start
-    assert np.array_equal(back.flips, walk.flips)
-    start = SpinConfig(70, (1 << 69) | (1 << 64) | 5)
-    walk = sample_walk(70, 50, RngStream(8, 70), start=start)
-    data = walk.to_bytes()
-    assert hashlib.sha256(data).hexdigest() == (
-        "a50d2786d56ac8992fa365b66303aa092f4fc61c5018b05436551a03844ec040"
-    )
-    back = WalkTrajectory.from_bytes(data)
-    assert back.start == start and back.to_bytes() == data
-    assert back.flips.dtype == np.int64 and not back.flips.flags.writeable
-    assert back.config_at(50) == walk.config_at(50)
-    empty = WalkTrajectory(SpinConfig(12, 7), ())
-    assert empty.to_bytes().hex() == "0c00000000000000" "0000000000000000" "0700"
-    back = WalkTrajectory.from_bytes(empty.to_bytes())
-    assert back.length == 0 and back.config_at(0) == SpinConfig(12, 7)
+@pytest.mark.parametrize("N", [12, 64, 70, 130])
+def test_word_rows_agree_across_layers(N):
+    """Row k of position_words is config_at(k).words(), spin i in bit i % 64
+    of word i // 64, on an empty walk too; for N <= 64 the aging kernel's
+    walk gives the same rows."""
+    start = SpinConfig(N, (1 << (N - 1)) | 5)
+    walk = sample_walk(N, 200, RngStream(8, N), start=start)
+    assert walk.flips.dtype == np.int64 and not walk.flips.flags.writeable
+    rows = walk.position_words()
+    assert rows.dtype == np.uint64 and rows.shape == (201, (N + 63) // 64)
+    for k in range(walk.length + 1):
+        config = walk.config_at(k)
+        assert np.array_equal(rows[k], config.words())
+        assert sum(int(w) << (64 * j) for j, w in enumerate(rows[k])) == config.bits
+    empty = WalkTrajectory(start, ())
+    assert np.array_equal(empty.position_words(), start.words()[None])
+    if N <= 64:
+        kernel = np.empty(walk.length + 1, dtype=np.uint64)
+        aging._walk_into(kernel, np.uint64(start.bits), walk.flips)
+        assert np.array_equal(kernel, rows[:, 0])
 
 
 @pytest.mark.parametrize("bad", [-1, 6, 7])
@@ -94,11 +87,6 @@ def test_walk_rejects_out_of_range_flips(bad):
         WalkTrajectory(start, (0, 5, bad, 2))
     with pytest.raises(ValueError, match="out of range"):
         WalkTrajectory(start, np.array([bad]))
-    data = WalkTrajectory(start, (0, 5, 1, 2)).to_bytes()
-    # the third flip's u32 sits after the 16-byte header, 1 start byte, 2 flips
-    forged = data[:25] + struct.pack("<I", bad % 2**32) + data[29:]
-    with pytest.raises(ValueError, match="out of range"):
-        WalkTrajectory.from_bytes(forged)
 
 
 def test_walk_rejects_non_vector_flips():
