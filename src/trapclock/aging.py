@@ -648,14 +648,3 @@ def aging_curve(
                        mode=mode, rng=rng.substream(10 + i))
         for i, theta in enumerate(ratios)
     ]
-
-
-def aging_curve_csv(estimates: Sequence[AgingEstimate]) -> str:
-    lines = ["ratio,t,s,epsilon,estimate,stderr,arcsine,excluded"]
-    for e in estimates:
-        ratio = e.t / (e.t + e.s)
-        lines.append(
-            f"{ratio!r},{e.t!r},{e.s!r},{e.epsilon!r},{e.estimate!r},"
-            f"{e.stderr!r},{e.arcsine_prediction!r},{e.excluded}"
-        )
-    return "\n".join(lines) + "\n"

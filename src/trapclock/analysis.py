@@ -265,7 +265,6 @@ def xi_rate_check(
     N_list,
     samples: int,
     rng,
-    lambda_margin: float = 0.0,
 ) -> dict:
     """Monte Carlo decay rate of the two-point functional
 
@@ -276,7 +275,7 @@ def xi_rate_check(
 
     over standard normals (U1, U2) with correlation c. Fits log Xi_N against
     N and reports the slope together with the applicable analytic bound:
-    -gamma^2 / (beta^2 (1+c)) when c > gamma/beta^2 + lambda - 1, else
+    -gamma^2 / (beta^2 (1+c)) when c > gamma/beta^2 - 1, else
     beta^2 (1+c) - 2 gamma. The slope should not exceed the bound by more
     than fit noise; the caller asserts with its own margin.
     """
@@ -310,7 +309,7 @@ def xi_rate_check(
         )
         log_xi_se[idx] = float(r.std(ddof=1) / (mean_r * math.sqrt(samples)))
     slope, intercept = np.polyfit(N_arr.astype(float), log_xi, 1)
-    first_branch = c > gamma / beta**2 + lambda_margin - 1.0
+    first_branch = c > gamma / beta**2 - 1.0
     bound = (
         -(gamma**2) / (beta**2 * (1.0 + c))
         if first_branch

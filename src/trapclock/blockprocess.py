@@ -55,13 +55,10 @@ class GammaCoefficients:
         return signs * self.gammas[None, :]
 
 
-def sample_block(coeffs: GammaCoefficients, rng, samples: int | None = None) -> np.ndarray:
-    """Draw U_1..U_nu; with `samples` given, a (samples, nu) matrix."""
+def sample_block(coeffs: GammaCoefficients, rng, samples: int) -> np.ndarray:
+    """Draw U_1..U_nu `samples` times: a (samples, nu) matrix."""
     gen = as_generator(rng)
-    M = coeffs.mixing_matrix()
-    if samples is None:
-        return M @ gen.standard_normal(coeffs.nu)
-    return gen.standard_normal((samples, coeffs.nu)) @ M.T
+    return gen.standard_normal((samples, coeffs.nu)) @ coeffs.mixing_matrix().T
 
 
 def block_laplace_mc(
@@ -142,13 +139,4 @@ def block_scaling_constant(
             }
         )
     return rows
-
-
-def laplace_table_csv(rows: list[dict]) -> str:
-    lines = ["N,u,estimate,stderr,rescaled"]
-    for r in rows:
-        lines.append(
-            f"{r['N']},{r['u']!r},{r['estimate']!r},{r['stderr']!r},{r['rescaled']!r}"
-        )
-    return "\n".join(lines) + "\n"
 

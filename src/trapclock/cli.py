@@ -4,7 +4,8 @@ Every subcommand resolves its parameters from defaults, an optional
 ``--config file.json`` layer, and explicit flags (highest precedence),
 writes the resolved configuration next to its outputs, and emits only
 deterministic bytes for a fixed seed: no timestamps, no machine info,
-floats rendered via repr/json.
+floats rendered via repr/json. This module alone decides the artifact
+format: `_write` writes every file and `_csv` renders every table.
 
 Exit codes: 0 success, 2 validation failure (bad flags, bad config,
 unsatisfiable preconditions), 3 non-conclusive run (the estimator finished
@@ -23,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aging import aging_curve, aging_curve_csv, estimate_aging
+from .aging import aging_curve, estimate_aging
 from .analysis import RateFunctionParams, upsilon, zeta
-from .blockprocess import block_scaling_constant, laplace_table_csv
+from .blockprocess import block_scaling_constant
 from .clock import (
     coarse_grain_clock,
     rescale_clock,
@@ -61,22 +62,24 @@ class NonConclusive(Exception):
     """Run refused or finished without a trustworthy estimate: exit code 3."""
 
 
-def _dump_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _write_config(args: argparse.Namespace, out: Path, name: str) -> None:
-    resolved = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("config", "func")
-    }
-    _dump_json(out / f"{name}_config.json", resolved)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
+def _write(args: argparse.Namespace, files: dict[str, dict | str]) -> None:
+    """Create --out and write `<command>_config.json` (the resolved flags)
+    and each of `files`: a dict as sorted, indented JSON, a str as it is."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    resolved = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
+    files = {f"{args.command.replace('-', '_')}_config.json": resolved, **files}
+    for name, body in files.items():
+        if isinstance(body, dict):
+            body = json.dumps(body, sort_keys=True, indent=2) + "\n"
+        (out / name).write_text(body)
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of comma-joined reprs; rows
+    hold Python scalars, so a float renders as its shortest round trip."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def _parse_list(text: str, kind: type) -> list:
@@ -89,44 +92,36 @@ def _parse_list(text: str, kind: type) -> list:
 
 # ---------------------------------------------------------------- zeta
 
-def _cmd_zeta(args) -> int:
-    if args.p < 2:
-        raise CliError("zeta needs p >= 2")
+def _cmd_zeta(args) -> None:
     value = zeta(args.p, tol=args.tol, grid_points=args.grid_points)
-    out = _out_dir(args)
-    _write_config(args, out, "zeta")
-    _dump_json(out / "zeta.json", {"p": args.p, "tol": args.tol, "zeta": value})
+    _write(args, {"zeta.json": {"p": args.p, "tol": args.tol, "zeta": value}})
     print(f"zeta p={args.p} value={value!r}")
-    return EXIT_OK
 
 
 # ------------------------------------------------------------- upsilon
 
-def _cmd_upsilon(args) -> int:
+def _cmd_upsilon(args) -> None:
     rp = RateFunctionParams(
         p=args.p, beta=args.beta, gamma=args.gamma,
         lambda_margin=args.lambda_margin, eta=args.eta,
     )
     u = np.linspace(0.0, 1.0, args.grid)
     vals = upsilon(rp, u)
-    out = _out_dir(args)
-    _write_config(args, out, "upsilon")
-    lines = ["u,upsilon"]
-    lines += [f"{float(ui)!r},{float(vi)!r}" for ui, vi in zip(u, vals)]
-    (out / "upsilon.csv").write_text("\n".join(lines) + "\n")
     imax = int(np.argmax(vals))
-    _dump_json(out / "upsilon.json", {
-        "argmax_u": float(u[imax]),
-        "max": float(vals[imax]),
-        "value_at_half": float(upsilon(rp, 0.5)),
+    _write(args, {
+        "upsilon.csv": _csv("u,upsilon", zip(u.tolist(), vals.tolist())),
+        "upsilon.json": {
+            "argmax_u": float(u[imax]),
+            "max": float(vals[imax]),
+            "value_at_half": float(upsilon(rp, 0.5)),
+        },
     })
     print(f"upsilon p={args.p} max={float(vals[imax])!r} at u={float(u[imax])!r}")
-    return EXIT_OK
 
 
 # -------------------------------------------------------- block-laplace
 
-def _cmd_block_laplace(args) -> int:
+def _cmd_block_laplace(args) -> None:
     n_list = _parse_list(args.N_list, int)
     u_list = _parse_list(args.u, float)
     if not n_list or not u_list:
@@ -141,18 +136,18 @@ def _cmd_block_laplace(args) -> int:
             params, u, n_list, samples=args.samples,
             rng=params.stream().substream(500 + k),
         )
-    out = _out_dir(args)
-    _write_config(args, out, "block_laplace")
-    (out / "block_laplace.csv").write_text(laplace_table_csv(rows))
+    keys = ("N", "u", "estimate", "stderr", "rescaled")
+    _write(args, {
+        "block_laplace.csv": _csv(",".join(keys), ([r[k] for k in keys] for r in rows)),
+    })
     for u in u_list:
         last = [r for r in rows if r["u"] == u][-1]
         print(f"block-laplace u={u!r} N={last['N']} rescaled={last['rescaled']!r}")
-    return EXIT_OK
 
 
 # -------------------------------------------------------- simulate-clock
 
-def _cmd_simulate_clock(args) -> int:
+def _cmd_simulate_clock(args) -> None:
     params = ModelParams(
         N=args.N, p=args.p, beta=args.beta, gamma=args.gamma,
         omega=args.omega, horizon_T=args.horizon, seed=args.seed,
@@ -163,32 +158,25 @@ def _cmd_simulate_clock(args) -> int:
             f"simulate-clock would need {steps} steps, over the "
             f"--max-steps budget {args.max_steps}"
         )
-    rng = params.stream()
     if args.mode == "rem":
         disorder = RemDisorder.from_seed(args.seed, args.N)
-    elif args.mode == "pspin":
-        disorder = PSpinDisorder.from_seed(args.seed, args.N, args.p)
     else:
-        raise CliError(f"unknown mode {args.mode!r}")
-    _, clock, _ = simulate_clock(disorder, params, steps, rng.substream(1))
+        disorder = PSpinDisorder.from_seed(args.seed, args.N, args.p)
+    _, clock, _ = simulate_clock(disorder, params, steps, params.stream().substream(1))
     bar = rescale_clock(clock, params)
     tilde = coarse_grain_clock(clock, params)
     grid = np.linspace(0.0, args.horizon, args.grid_points)
-    lines = ["t,bar,tilde"]
-    for t in grid:
-        t = float(t)
-        lines.append(f"{t!r},{bar.value_at(t)!r},{tilde.value_at(t)!r}")
-    out = _out_dir(args)
-    _write_config(args, out, "simulate_clock")
-    (out / "clock.csv").write_text("\n".join(lines) + "\n")
-    _dump_json(out / "clock.json", {
-        "steps": steps,
-        "nu": params.nu(),
-        "overflowed": clock.overflowed,
-        "final_bar": bar.value_at(args.horizon),
+    rows = zip(grid.tolist(), bar.value_at(grid).tolist(), tilde.value_at(grid).tolist())
+    _write(args, {
+        "clock.csv": _csv("t,bar,tilde", rows),
+        "clock.json": {
+            "steps": steps,
+            "nu": params.nu(),
+            "overflowed": clock.overflowed,
+            "final_bar": bar.value_at(args.horizon),
+        },
     })
     print(f"simulate-clock steps={steps} final={bar.value_at(args.horizon)!r}")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------- aging
@@ -207,7 +195,7 @@ def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
     return replicas * r1 * horizon**alpha / math.gamma(1.0 + alpha)
 
 
-def _cmd_aging(args) -> int:
+def _cmd_aging(args) -> None:
     if (args.gamma is None) == (args.alpha is None):
         raise CliError("give exactly one of --gamma or --alpha")
     gamma = args.gamma
@@ -228,12 +216,9 @@ def _cmd_aging(args) -> int:
             f"{args.max_work:.3e}; this preset is not desk-feasible"
         )
     est = estimate_aging(
-        params, args.t, args.s, args.epsilon, args.replicas,
-        mode=args.mode, rng=params.stream().substream(3),
+        params, args.t, args.s, args.epsilon, args.replicas, mode=args.mode
     )
-    out = _out_dir(args)
-    _write_config(args, out, "aging")
-    _dump_json(out / "aging.json", dataclasses.asdict(est))
+    files = {"aging.json": dataclasses.asdict(est)}
     if args.curve_points > 0:
         ratios = [
             (i + 1) / (args.curve_points + 1) for i in range(args.curve_points)
@@ -241,9 +226,13 @@ def _cmd_aging(args) -> int:
         curve = aging_curve(
             params, ratios, args.t + args.s, args.epsilon,
             args.curve_replicas, mode=args.mode,
-            rng=params.stream().substream(6),
         )
-        (out / "aging_curve.csv").write_text(aging_curve_csv(curve))
+        files["aging_curve.csv"] = _csv(
+            "ratio,t,s,epsilon,estimate,stderr,arcsine,excluded",
+            ((e.t / (e.t + e.s), e.t, e.s, e.epsilon, e.estimate, e.stderr,
+              e.arcsine_prediction, e.excluded) for e in curve),
+        )
+    _write(args, files)
     print(
         f"aging estimate={est.estimate!r} stderr={est.stderr!r} "
         f"arcsine={est.arcsine_prediction!r} excluded={est.excluded}"
@@ -252,14 +241,11 @@ def _cmd_aging(args) -> int:
         raise NonConclusive(
             f"excluded {est.excluded} of {est.replicas} replicas (over the exclusion budget)"
         )
-    return EXIT_OK
 
 
 # --------------------------------------------------------- subordinator
 
-def _cmd_subordinator(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise CliError("subordinator needs alpha in (0, 1)")
+def _cmd_subordinator(args) -> None:
     rng = RngStream(args.seed, 77)
     horizon = args.horizon if args.horizon > 0 else args.t + args.s + 1.0
     grid = np.linspace(0.0, horizon, args.grid_points)
@@ -268,16 +254,15 @@ def _cmd_subordinator(args) -> int:
         args.alpha, args.t, args.s, args.replicas, rng.substream(2), K=args.K
     )
     pred = float(arcsine_cdf(args.alpha, args.t / (args.t + args.s)))
-    out = _out_dir(args)
-    _write_config(args, out, "subordinator")
-    (out / "subordinator_path.csv").write_text(path.to_csv())
-    _dump_json(out / "range_miss.json", {
-        "alpha": args.alpha, "K": args.K, "t": args.t, "s": args.s,
-        "replicas": args.replicas, "estimate": est, "stderr": se,
-        "arcsine": pred,
+    _write(args, {
+        "subordinator_path.csv": _csv("t,value", zip(path.grid.tolist(), path.values.tolist())),
+        "range_miss.json": {
+            "alpha": args.alpha, "K": args.K, "t": args.t, "s": args.s,
+            "replicas": args.replicas, "estimate": est, "stderr": se,
+            "arcsine": pred,
+        },
     })
     print(f"subordinator miss={est!r} stderr={se!r} arcsine={pred!r}")
-    return EXIT_OK
 
 
 # ------------------------------------------------------- skorokhod-demo
@@ -292,31 +277,49 @@ def _staircase_pair(n: int) -> tuple[CadlagStepPath, CadlagStepPath]:
     return f_n, f
 
 
-def _cmd_skorokhod_demo(args) -> int:
+def _step_rows(path: CadlagStepPath) -> list[tuple[float, float]]:
+    """(t, value) at the origin, then at each jump."""
+    return [(0.0, float(path.initial)),
+            *zip(path.jump_times.tolist(), path.values.tolist())]
+
+
+def path_from_csv(text: str, T: float) -> CadlagStepPath:
+    """The step path on [0, T] back from a skorokhod-demo path file."""
+    rows = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("t,")]
+    ts, vs = [], []
+    for ln in rows:
+        a, b = ln.split(",")
+        ts.append(float(a))
+        vs.append(float(b))
+    if not ts or ts[0] != 0.0:
+        raise ValueError("csv must start with the t=0 row")
+    return CadlagStepPath(T, vs[0], np.array(ts[1:]), np.array(vs[1:]))
+
+
+def _cmd_skorokhod_demo(args) -> None:
     if args.n < 2:
         raise CliError("need n >= 2")
     f_n, f = _staircase_pair(args.n)
     m1 = m1_distance(f_n, f, resolution=args.resolution)
     j1 = j1_distance(f_n, f)
-    out = _out_dir(args)
-    _write_config(args, out, "skorokhod_demo")
-    (out / "path_staircase.csv").write_text(f_n.to_csv())
-    (out / "path_limit.csv").write_text(f.to_csv())
-    _dump_json(out / "skorokhod.json", {
-        "n": args.n,
-        "m1": m1,
-        "j1": j1,
-        "w_staircase": modulus_w(f_n, args.delta),
-        "w_prime_staircase": modulus_w_prime(f_n, args.delta),
-        "v_at_jump": modulus_v(f_n, 1.0, args.delta),
+    _write(args, {
+        "path_staircase.csv": _csv("t,value", _step_rows(f_n)),
+        "path_limit.csv": _csv("t,value", _step_rows(f)),
+        "skorokhod.json": {
+            "n": args.n,
+            "m1": m1,
+            "j1": j1,
+            "w_staircase": modulus_w(f_n, args.delta),
+            "w_prime_staircase": modulus_w_prime(f_n, args.delta),
+            "v_at_jump": modulus_v(f_n, 1.0, args.delta),
+        },
     })
     print(f"skorokhod n={args.n} m1={m1!r} j1={j1!r}")
-    return EXIT_OK
 
 
 # --------------------------------------------------- ehrenfest-validate
 
-def _cmd_ehrenfest(args) -> int:
+def _cmd_ehrenfest(args) -> None:
     if not 2 <= args.N <= 40:
         raise CliError("ehrenfest-validate supports 2 <= N <= 40")
     worst = 0.0
@@ -331,16 +334,15 @@ def _cmd_ehrenfest(args) -> int:
     # no_backtrack_prob raises if it falls below exp(-nu^2/N)
     for nu in range(1, args.N + 1):
         no_backtrack_prob(args.N, nu)
-    out = _out_dir(args)
-    _write_config(args, out, "ehrenfest_validate")
-    _dump_json(out / "ehrenfest.json", {
-        "N": args.N,
-        "triples_checked": pairs,
-        "max_abs_error": worst,
-        "no_backtrack_bound_ok": True,
+    _write(args, {
+        "ehrenfest.json": {
+            "N": args.N,
+            "triples_checked": pairs,
+            "max_abs_error": worst,
+            "no_backtrack_bound_ok": True,
+        },
     })
     print(f"ehrenfest N={args.N} max_abs_error={worst!r} bound_ok=True")
-    return EXIT_OK
 
 
 # ------------------------------------------------------------- plumbing
@@ -518,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, list(argv))
-        return args.func(args)
+        args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -528,6 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

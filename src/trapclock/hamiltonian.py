@@ -90,8 +90,8 @@ class PSpinDisorder(_Landscape):
             self._key = stream.hash_key()
 
     @classmethod
-    def from_seed(cls, seed: int, N: int, p: int, mode: str = "auto") -> "PSpinDisorder":
-        return cls(N, p, RngStream(seed, 101), mode)
+    def from_seed(cls, seed: int, N: int, p: int) -> "PSpinDisorder":
+        return cls(N, p, RngStream(seed, 101))
 
     # -- coupling access ----------------------------------------------------
 

@@ -24,6 +24,8 @@ import numpy as np
 from .core import as_generator
 
 _WORD = (1 << 64) - 1
+# total variation to Binomial(N, 1/2) that mixing_constant_estimate asks for
+_MIXING_TV = 1e-6
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,9 @@ def binomial_half_pmf(N: int) -> np.ndarray:
     return np.array([math.comb(N, d) for d in range(N + 1)], dtype=float) / 2.0**N
 
 
-def mixing_constant_estimate(N: int, target_tv: float = 1e-6) -> float:
+def mixing_constant_estimate(N: int) -> float:
     """Smallest K such that the parity-averaged law at k = ceil(K N^2 log N)
-    is within target_tv of Binomial(N, 1/2) in total variation, searched up
+    is within _MIXING_TV of Binomial(N, 1/2) in total variation, searched up
     to K = 8.
 
     The relevant bound guarantees existence of some finite K without naming
@@ -196,9 +198,9 @@ def mixing_constant_estimate(N: int, target_tv: float = 1e-6) -> float:
     for k in range(1, k_max + 1):
         prev, p = p, _distance_step(N, p)
         tv = 0.5 * np.abs(0.5 * (prev + p) - stat).sum()
-        if tv <= target_tv:
+        if tv <= _MIXING_TV:
             return k / scale
-    raise RuntimeError(f"no K <= {k_max / scale:.2f} reached TV {target_tv}")
+    raise RuntimeError(f"no K <= {k_max / scale:.2f} reached TV {_MIXING_TV}")
 
 
 def _distance_step(N: int, p: np.ndarray) -> np.ndarray:

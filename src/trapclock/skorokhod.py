@@ -71,24 +71,6 @@ class CadlagStepPath:
         out = self.levels()[idx]
         return float(out) if np.ndim(t) == 0 else out
 
-    def to_csv(self) -> str:
-        lines = ["t,value", f"0.0,{float(self.initial)!r}"]
-        for t, v in zip(self.jump_times, self.values):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
-
-
-def path_from_csv(text: str, T: float) -> CadlagStepPath:
-    rows = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("t,")]
-    ts, vs = [], []
-    for ln in rows:
-        a, b = ln.split(",")
-        ts.append(float(a))
-        vs.append(float(b))
-    if not ts or ts[0] != 0.0:
-        raise ValueError("csv must start with the t=0 row")
-    return CadlagStepPath(T, vs[0], np.array(ts[1:]), np.array(vs[1:]))
-
 
 # ---------------------------------------------------------------------------
 # oscillation moduli

@@ -39,12 +39,6 @@ class SubordinatorPath:
         if (np.diff(self.values) < 0).any():
             raise ValueError("values must be nondecreasing")
 
-    def to_csv(self) -> str:
-        lines = ["t,value"]
-        for t, v in zip(self.grid, self.values):
-            lines.append(f"{float(t)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def sample_one_sided_stable(alpha: float, size, rng) -> np.ndarray:
     """Standard one-sided stable draws: E exp(-lambda X) = exp(-lambda^alpha).

@@ -13,7 +13,6 @@ from trapclock import aging
 from trapclock.aging import (
     AgingEstimate,
     aging_curve,
-    aging_curve_csv,
     estimate_aging,
     estimate_aging_frozen,
     estimate_range_miss,
@@ -237,11 +236,6 @@ def test_curve_and_csv():
     preds = [e.arcsine_prediction for e in ests]
     assert preds == sorted(preds)
     assert [e.t + e.s for e in ests] == pytest.approx([1.0, 1.0, 1.0])
-    text = aging_curve_csv(ests)
-    lines = text.strip().splitlines()
-    assert lines[0] == "ratio,t,s,epsilon,estimate,stderr,arcsine,excluded"
-    assert len(lines) == 4
-    assert float(lines[2].split(",")[0]) == pytest.approx(0.5)
 
 
 def test_hamming_u64_matches_bit_count():

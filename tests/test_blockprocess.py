@@ -10,7 +10,6 @@ from trapclock.blockprocess import (
     GammaCoefficients,
     block_laplace_mc,
     block_scaling_constant,
-    laplace_table_csv,
     rescale_factor,
     sample_block,
 )
@@ -108,12 +107,3 @@ def test_scaling_constant_u_doubling_exponent():
     ratio = e2 / e1
     se = ratio * math.hypot(s1 / e1, s2 / e2)
     assert abs(ratio - 2.0**0.6) < max(4 * se, 0.2)
-
-
-def test_laplace_table_csv_header():
-    params = ModelParams(N=20, p=3, beta=1.0, gamma=0.6)
-    rows = block_scaling_constant(params, 1.0, [20], samples=200, rng=RngStream(5, 5))
-    lines = laplace_table_csv(rows).splitlines()
-    assert lines[0] == "N,u,estimate,stderr,rescaled"
-    assert len(lines) == 2
-

@@ -1,11 +1,24 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from trapclock.cli import build_parser, main
-from trapclock.skorokhod import path_from_csv
+from trapclock import aging
+from trapclock.cli import (
+    _aging_work,
+    _csv,
+    _step_rows,
+    _write,
+    build_parser,
+    main,
+    path_from_csv,
+)
+from trapclock.clock import rescale_clock, simulate_clock
+from trapclock.core import ModelParams
+from trapclock.hamiltonian import RemDisorder
+from trapclock.skorokhod import CadlagStepPath
 
 SUBCOMMANDS = [
     "zeta",
@@ -40,7 +53,8 @@ def test_zeta_runs_and_writes(tmp_path, capsys):
 
 
 def test_zeta_rejects_small_p(tmp_path):
-    assert main(["zeta", "--p", "1", "--out", str(tmp_path)]) == 2
+    assert main(["zeta", "--p", "1", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_upsilon_curve_files(tmp_path):
@@ -106,6 +120,27 @@ def test_simulate_clock_outputs(tmp_path):
     assert meta["overflowed"] is False
 
 
+def test_simulate_clock_rem_mode(tmp_path):
+    argv = ["simulate-clock", "--N", "16", "--beta", "1.5", "--gamma", "0.9",
+            "--mode", "rem", "--grid-points", "51", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    raw = (tmp_path / "a" / "clock.csv").read_bytes()
+    assert raw == (tmp_path / "b" / "clock.csv").read_bytes()
+    lines = raw.decode().splitlines()
+    assert lines[0] == "t,bar,tilde"
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    assert rows.shape == (51, 3)
+    # the bar column is the REM landscape's clock, seeded as the command seeds it
+    params = ModelParams(N=16, p=3, beta=1.5, gamma=0.9, horizon_T=1.0, seed=3)
+    steps = json.loads((tmp_path / "a" / "clock.json").read_text())["steps"]
+    _, clock, _ = simulate_clock(
+        RemDisorder.from_seed(3, 16), params, steps, params.stream().substream(1)
+    )
+    assert rows[:, 1].tolist() == rescale_clock(clock, params).value_at(rows[:, 0]).tolist()
+    assert np.all(rows[:, 2] <= rows[:, 1])
+
+
 def test_simulate_clock_step_budget(tmp_path):
     rc = main([
         "simulate-clock", "--N", "30", "--beta", "1.0", "--gamma", "1.0",
@@ -140,6 +175,34 @@ def test_aging_curve_artifact(tmp_path):
     lines = (tmp_path / "aging_curve.csv").read_text().strip().splitlines()
     assert lines[0] == "ratio,t,s,epsilon,estimate,stderr,arcsine,excluded"
     assert len(lines) == 4
+    assert float(lines[2].split(",")[0]) == pytest.approx(0.5)
+
+
+def test_aging_over_budget_writes_then_exits_3(tmp_path, capsys, monkeypatch):
+    # this run excludes two of 40 replicas, inside the 5% budget; with no
+    # budget left the same run is non-conclusive, after its artifacts exist
+    argv = ["aging", "--N", "10", "--beta", "2.0", "--alpha", "0.5",
+            "--replicas", "40", "--seed", "1", "--out", str(tmp_path)]
+    monkeypatch.setattr(aging, "_EXCLUSION_BUDGET", 0.0)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "aging estimate=" in captured.out
+    assert "over the exclusion budget" in captured.err
+    payload = json.loads((tmp_path / "aging.json").read_text())
+    assert payload["excluded"] == 2 and payload["non_conclusive"]
+    assert (tmp_path / "aging_config.json").exists()
+
+
+def test_aging_work_special_branches():
+    # beta = 0: walk time is the wall e^{gamma N} itself
+    beta0 = ModelParams(N=10, p=3, beta=0.0, gamma=0.5)
+    assert _aging_work(beta0, 2.0, 3) == 3 * 2.0 * math.exp(5.0)
+    # alpha = gamma / beta^2 >= 1 has no stable clock to predict from
+    assert _aging_work(ModelParams(N=10, p=3, beta=1.0, gamma=1.0), 2.0, 3) == math.inf
+    deep = ModelParams(N=64, p=3, beta=2.0, gamma=3.6)
+    with pytest.raises(OverflowError):
+        deep.r_steps(1.0)
+    assert _aging_work(deep, 2.0, 3) == math.inf
 
 
 def test_aging_refuses_infeasible_preset(tmp_path, capsys):
@@ -245,6 +308,20 @@ def test_config_must_be_object(tmp_path):
     assert main(["zeta", "--p", "2", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subordinator", "--alpha", "1.5"],
+        ["aging", "--N", "10", "--beta", "0", "--alpha", "0.5"],
+        ["block-laplace", "--beta", "1.0", "--gamma", "0.5", "--N-list", ","],
+    ],
+    ids=["subordinator_alpha", "aging_alpha_at_beta0", "block_laplace_no_N"],
+)
+def test_refusals_write_nothing(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_subordinator_outputs(tmp_path):
     rc = main([
         "subordinator", "--alpha", "0.5", "--replicas", "2000",
@@ -271,6 +348,30 @@ def test_skorokhod_demo(tmp_path):
     staircase = path_from_csv((tmp_path / "path_staircase.csv").read_text(), 2.0)
     assert staircase.n_jumps == 2
     assert main(["skorokhod-demo", "--n", "1", "--out", str(tmp_path)]) == 2
+
+
+def _write_path_file(tmp_path, rows) -> str:
+    args = argparse.Namespace(command="skorokhod-demo", out=str(tmp_path))
+    _write(args, {"path.csv": _csv("t,value", rows)})
+    return (tmp_path / "path.csv").read_text()
+
+
+def test_csv_round_trip(tmp_path):
+    f = CadlagStepPath(2.0, 0.25, np.array([0.5, 1.25]), np.array([1.0, -0.5]))
+    text = _write_path_file(tmp_path, _step_rows(f))
+    assert text == "t,value\n0.0,0.25\n0.5,1.0\n1.25,-0.5\n"
+    g = path_from_csv(text, 2.0)
+    assert g.initial == f.initial
+    assert np.array_equal(g.jump_times, f.jump_times)
+    assert np.array_equal(g.values, f.values)
+    resolved = json.loads((tmp_path / "skorokhod_demo_config.json").read_text())
+    assert resolved == {"command": "skorokhod-demo", "out": str(tmp_path)}
+
+
+def test_csv_requires_origin_row(tmp_path):
+    text = _write_path_file(tmp_path, [(0.5, 1.0)])
+    with pytest.raises(ValueError, match="t=0 row"):
+        path_from_csv(text, 1.0)
 
 
 def test_ehrenfest_validate(tmp_path):

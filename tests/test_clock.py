@@ -6,6 +6,7 @@ import scipy.stats
 
 from trapclock.clock import (
     InsufficientStepsError,
+    RescaledClock,
     clock_from_energies,
     clock_from_log_increments,
     coarse_grain_clock,
@@ -246,3 +247,29 @@ def test_log_increments_recover_the_drawn_waits():
     root = params.beta * math.sqrt(params.N)
     got = np.exp(clock.log_incs - root * energies[:-1])
     np.testing.assert_allclose(got, waits, rtol=1e-12, atol=0.0)
+
+
+_SHORT = clock_from_log_increments(np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: clock_from_energies(np.zeros(3), np.array([1.0, 0.0, 1.0]), _params()),
+         ValueError, "waiting variables must be positive"),
+        (lambda: simulate_clock(RemDisorder(16, RngStream(1, 1)), _params(), 0, RngStream(1, 2)),
+         ValueError, "steps must be >= 1"),
+        (lambda: simulate_clock(RemDisorder(8, RngStream(1, 1)), _params(), 5, RngStream(1, 2)),
+         ValueError, "disagree on N"),
+        (lambda: RescaledClock(_SHORT, _params()).step_index(-0.5),
+         ValueError, "t must be >= 0"),
+        (lambda: RescaledClock(_SHORT, _params()).value_at(1.0),
+         InsufficientStepsError, "query needs step 29 but clock has 5"),
+        (lambda: truncated_clock(_SHORT, np.zeros(4), _params(), 1.0),
+         ValueError, "energies must cover every increment"),
+    ],
+    ids=["waits", "steps", "N", "negative_t", "past_clock", "short_energies"],
+)
+def test_clock_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from trapclock.core import (
     mix64_array,
     mix64_inplace,
 )
+from trapclock.hamiltonian import _Landscape
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -31,6 +35,23 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(trapclock, name) is not None
+
+
+def test_benchmark_imports_resolve():
+    # perfbench changes only with the benchmark itself, so a rename here
+    # must not leave it importing a name that is gone
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    imported = []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trapclock"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append(alias.name)
+                    assert hasattr(module, alias.name), (path.name, node.module, alias.name)
+    assert "simulate_clock" in imported
+    # the layer probe calls this method on both landscapes
+    assert callable(_Landscape.energy_delta)
 
 
 def test_mix64_reference_sequence():

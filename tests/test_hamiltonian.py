@@ -191,3 +191,28 @@ def test_trajectory_energies_rem_revisit():
     assert es[0] == es[2] == es[4]
     assert es[1] != es[0]
 
+
+
+# the constructors get no stream: each guard must raise before the couplings
+# or the hash key are drawn, and for the dense refusal before the N^p tensor
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PSpinDisorder(5, 1, None), "p must be >= 2"),
+        (lambda: PSpinDisorder(0, 3, None), "N must be >= 1"),
+        (lambda: PSpinDisorder(5, 3, None, mode="sparse"), "unknown mode 'sparse'"),
+        (lambda: PSpinDisorder(600, 3, None, mode="dense"), "N\\^p = 216000000 entries refused"),
+        (lambda: PSpinDisorder(1 << 22, 3, None, mode="hashed"), "does not fit in 63 bits"),
+        (lambda: RemDisorder(0, None), "N must be >= 1"),
+        (lambda: RemDisorder(6, RngStream(1, 1)).energy(SpinConfig(5, 0)),
+         "configuration dimension mismatch"),
+        (lambda: trajectory_energies(RemDisorder(6, RngStream(1, 1)),
+                                     sample_walk(5, 3, RngStream(1, 2))),
+         "dimension mismatch"),
+    ],
+    ids=["p", "N", "mode", "dense_size", "hashed_index", "rem_N", "energy_N",
+         "trajectory_N"],
+)
+def test_landscape_guards(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -183,7 +183,7 @@ def test_walk_matches_ehrenfest_projection():
 
 def test_mixing_constant_is_self_consistent():
     N, target = 8, 1e-6
-    K = mixing_constant_estimate(N, target_tv=target)
+    K = mixing_constant_estimate(N)
     assert K > 0
     k = math.ceil(K * N * N * math.log(N))
     avg = 0.5 * (distance_distribution(N, k) + distance_distribution(N, k + 1))

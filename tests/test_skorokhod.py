@@ -11,7 +11,6 @@ from trapclock.skorokhod import (
     modulus_v,
     modulus_w,
     modulus_w_prime,
-    path_from_csv,
 )
 
 
@@ -100,19 +99,6 @@ def test_path_validation():
         CadlagStepPath(1.0, 0.0, np.array([0.5, 0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SINGLE.value_at(2.5)
-
-
-def test_csv_round_trip():
-    f = CadlagStepPath(2.0, 0.25, np.array([0.5, 1.25]), np.array([1.0, -0.5]))
-    g = path_from_csv(f.to_csv(), 2.0)
-    assert g.initial == f.initial
-    assert np.array_equal(g.jump_times, f.jump_times)
-    assert np.array_equal(g.values, f.values)
-
-
-def test_csv_requires_origin_row():
-    with pytest.raises(ValueError):
-        path_from_csv("t,value\n0.5,1.0\n", 1.0)
 
 
 # ---------------------------------------------------------------------------

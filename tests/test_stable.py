@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trapclock.core import RngStream
 from trapclock.stable import (
+    SubordinatorPath,
     arcsine_cdf,
     first_passage_values,
     range_miss_prob_mc,
@@ -161,3 +162,30 @@ def test_range_miss_monotone_in_s():
 def test_range_miss_small_window_trend():
     est, _ = range_miss_prob_mc(0.5, 1.0, 0.01, 1500, RngStream(11, 11))
     assert est > 0.9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SubordinatorPath(np.array([0.0, 0.0]), np.zeros(2), 0.5, 1.0),
+         "grid must be strictly increasing"),
+        (lambda: SubordinatorPath(np.array([0.0, 1.0]), np.array([1.0, 0.5]), 0.5, 1.0),
+         "values must be nondecreasing"),
+        (lambda: sample_subordinator(1.0, 1.0, [1.0], RngStream(1, 1)), "alpha must lie in"),
+        (lambda: sample_subordinator(0.5, -1.0, [1.0], RngStream(1, 1)), "K must be >= 0"),
+        (lambda: sample_subordinator(0.5, 1.0, [], RngStream(1, 1)), "nonempty 1-d"),
+        (lambda: sample_subordinator(0.5, 1.0, [[1.0]], RngStream(1, 1)), "nonempty 1-d"),
+        (lambda: sample_subordinator(0.5, 1.0, [-1.0, 1.0], RngStream(1, 1)),
+         "nonnegative and strictly increasing"),
+        (lambda: sample_subordinator(0.5, 1.0, [1.0, 1.0], RngStream(1, 1)),
+         "nonnegative and strictly increasing"),
+        (lambda: first_passage_values(0.5, 1.0, 0.0, 10, RngStream(1, 1)), "need t > 0 and K > 0"),
+        (lambda: first_passage_values(0.5, 0.0, 1.0, 10, RngStream(1, 1)), "need t > 0 and K > 0"),
+        (lambda: range_miss_prob_mc(0.5, 1.0, 0.0, 10, RngStream(1, 1)), "s must be > 0"),
+    ],
+    ids=["path_grid", "path_values", "alpha", "K", "empty_grid", "2d_grid", "negative_grid",
+         "flat_grid", "passage_t", "passage_K", "window_s"],
+)
+def test_stable_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
