@@ -510,6 +510,21 @@ def test_vstar_and_pspin_stream_are_pinned():
     )
 
 
+@pytest.mark.parametrize("factor, digest", [
+    (8.0, "97c46f5bf972ae61c8d79c30efd73ac4f49b158b672f837647554231290a5eaa"),
+    (0.3, "e242a08e123ddb66ad41201baa77a11f22558d2b1e676aa0aeded9cad9e19898"),
+], ids=["full-cap", "starved-cap"])
+def test_criterion_7_stream_is_pinned(factor, digest):
+    # SHA-256 of an aging and a frozen run at criterion 7's point, where
+    # about 3% of steps are deep; the starved cap (factor 0.3) excludes
+    # replicas and ends batches in the cap-clamped last chunk
+    cap = aging._step_cap(CRITERION_7, 2.0, factor)
+    dist, excluded, vstar = aging._aging_kernel(CRITERION_7, 1, 1, 256, RngStream(41, 42), cap)
+    frozen = aging._frozen_kernel(CRITERION_7, 1, 1, 32, 2, RngStream(41, 43), cap)
+    arrays = [dist, excluded, vstar, *(a for pair in frozen for a in pair)]
+    assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+
 def test_deep_floor_keeps_exactly_the_deep_sites():
     # hash >= floor iff the site's depth is at least the depth at the floor,
     # and the floor is the least such hash: one cell lower falls below z0
