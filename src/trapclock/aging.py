@@ -22,20 +22,25 @@ every visited site but gives a depth, an exponential weight and a wait only
 to sites at or above a level z0; shallower visits add nothing. z0 is set
 per call so that the expected clock mass dropped up to the step cap is at
 most delta * t * e**(gamma*N), with delta = `_DROPPED_MASS` = 1e-6
-(`_deep_level`); delta = 0 is the exact kernel. Walks advance
-in chunks and each replica retires as soon as both crossing times are
-known; a batch's chunks keep a fixed element budget, so its survivors run
-longer chunks, not more of them. The frozen-chain estimator runs the same
-batch code in shared-walk mode: one walk per group, broadcast against the
-group's per-replica traps and waits. Replicas run in batches of 32; batches
-and frozen-chain groups each own their random streams and run on up to one
-thread per core, so the results depend on the batch size and the chunk
-length but not on the core count.
+(`_deep_level`); delta = 0 is the exact kernel. So the clock is carried at
+deep steps only: a chunk lists each replica's deep steps and the clock
+after each, and the crossing search reads that list (`_clock_series`).
+Where more than a quarter of some row's steps are deep (delta = 0, small N
+or high temperature) and for p-spin rows, every step is listed; both forms
+give the same bytes. Walks advance in chunks and each replica retires as
+soon as both crossing times are known; a batch's chunks keep a fixed
+element budget, so its survivors run longer chunks, not more of them. The
+frozen-chain estimator runs the same batch code in shared-walk mode: one
+walk per group, broadcast against the group's per-replica traps and waits.
+Replicas run in batches of 32; batches and frozen-chain groups each own
+their random streams and run on up to one thread per core, so the results
+depend on the batch size and the chunk length but not on the core count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,20 +178,28 @@ def _clock_series(
     h: np.ndarray,
     out: np.ndarray,
     deep: np.ndarray,
-) -> np.ndarray:
-    """Clock value after every step of one chunk, written into `out`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clock over one chunk, as a pair ``(cols, vals)`` of equal shape.
 
-    Each step adds ``wait * exp(root * energy)``, the waits drawn from
-    `wait_gen` in step order, and the series is ``clock + cumsum``. A
-    p-spin row is a disorder, evaluated at its own sites, and every step
-    draws a wait. A REM key gives site x the hash ``mix64(key + x)``, whose
-    `gaussian_from_bits` depth is the energy a `RemDisorder` with that key
-    assigns to x. Only deep sites, whose hash is at least `floor`
-    (`_deep_floor`), get a depth and a wait; the others add 0. `h`
-    (uint64), `out` (float64) and `deep` (bool) are work arrays of the
-    chunk's shape; the deep steps' hashes, depths and waits are packed at
-    the front of `out` and `h`, so the stages run in place.
+    Row i's clock is ``vals[i, k]`` after step ``cols[i, k]`` of the chunk
+    and stays there up to the row's next listed step; `cols` rises along
+    each row and pads with the chunk length, `vals` with the row's last
+    value. Each step adds ``wait * exp(root * energy)``, the waits drawn
+    from `wait_gen` in step order, and the listed values are ``clock +
+    cumsum`` of those increments. A p-spin row is a disorder, evaluated at
+    its own sites; every step draws a wait and is listed. A REM key gives
+    site x the hash ``mix64(key + x)``, whose `gaussian_from_bits` depth is
+    the energy a `RemDisorder` with that key assigns to x. Only deep sites,
+    whose hash is at least `floor` (`_deep_floor`), get a depth and a wait;
+    the others add nothing, so the clock is carried at deep steps only.
+    When no row has more than a quarter of its steps deep, each row lists
+    only its deep steps; otherwise (floor 0, high temperature, small N) the
+    pair is dense, every step listed. Both forms give the same values
+    bitwise: adding 0.0 is exact and the cumsum runs in step order along
+    each row. `h` (uint64), `out` (float64) and `deep` (bool) are work
+    arrays of the chunk's shape that hold the stages and the pair.
     """
+    rows, length = sites.shape
     if keys.dtype == object:
         for i, disorder in enumerate(keys):
             out[i] = disorder.energy_of_words(sites[i, :, None])
@@ -196,19 +209,44 @@ def _clock_series(
         mix64_inplace(h, out.view(np.uint64))
         np.greater_equal(h, np.uint64(floor), out=deep)
         idx = np.flatnonzero(deep)
-        # the indices are in range; "clip" spares the copy "raise" makes
+        # the deep steps' hashes, depths and waits are packed at the front
+        # of `out` and `h`; "clip" spares the copy "raise" makes
         bits = np.take(h, idx, out=out.reshape(-1).view(np.uint64)[: idx.size], mode="clip")
         inc = gaussian_from_bits(bits, h.reshape(-1).view(np.float64)[: idx.size])
         spare = bits.view(np.float64)
     inc *= root
     np.exp(inc, out=inc)
     inc *= wait_gen.standard_exponential(out=spare)
+
+    vals, cols, slots = out, None, idx
     if idx is not None:
-        out.fill(0.0)
-        out.reshape(-1)[idx] = inc
-    np.cumsum(out, axis=1, out=out)
-    out += clock[:, None]
-    return out
+        bounds = np.searchsorted(idx, np.arange(0, (rows + 1) * length, length))
+        counts = np.diff(bounds)
+        width = max(int(counts.max()), 1)
+        if 4 * width <= length:
+            # compact: row i's k-th deep step goes to slot k of row i; the
+            # pair fills at most half of `h` past the increments
+            row = np.repeat(np.arange(rows), counts)
+            col = idx - row * length
+            slots = row * width + np.arange(idx.size) - bounds[row]
+            vals = out.reshape(-1)[: rows * width].reshape(rows, width)
+            cols = h.reshape(-1).view(np.int64)[inc.size : inc.size + vals.size]
+            cols.fill(length)
+            cols[slots] = col
+            cols = cols.reshape(rows, width)
+        vals.fill(0.0)
+        vals.reshape(-1)[slots] = inc
+    if cols is None:
+        # every step listed: the step index, built in `h` (free once the
+        # increments are in `vals`) and shared by the rows
+        cols = h.reshape(-1).view(np.int64)[:length]
+        cols.fill(1)
+        np.cumsum(cols, out=cols)
+        cols -= 1
+        cols = np.broadcast_to(cols, (rows, length))
+    np.cumsum(vals, axis=1, out=vals)
+    vals += clock[:, None]
+    return cols, vals
 
 
 def _deep_level(root: float, target1: float, step_cap: int, dropped: float) -> float:
@@ -333,8 +371,12 @@ def _aging_batch(
     `keys` holds the batch's per-replica environments, one row each (see
     `_landscapes`). Each chunk draws its flips from `walk_gen`, then its
     waits from `wait_gen`, so the result depends on nothing outside the
-    batch. REM rows skip the sites whose hash is below `floor`
-    (`_clock_series`); floor 0 keeps every site. With `shared_walk` every
+    batch. REM rows skip the sites whose hash is below `floor`; floor 0
+    keeps every site. The chunk's clock is the pair of `_clock_series`,
+    which lists only the deep steps unless more than a quarter of some
+    row's steps are deep; the crossings, the block values and the clock
+    carried into the next chunk are read from the pair alone, the same
+    way for either form and either landscape. With `shared_walk` every
     replica follows one jump chain (one walker row, broadcast against the
     key rows) and only the traps and waits differ between replicas.
     Replicas retire as soon as their second crossing is known, in either
@@ -373,28 +415,26 @@ def _aging_batch(
         _walk_into(walk, pos, walk_gen.integers(0, N, size=(pos.size, length)))
         sites = np.broadcast_to(walk[:, :-1], (rows, length))
         size = rows * length
-        series = _clock_series(
+        cols, vals = _clock_series(
             keys, sites, clock, root, floor, wait_gen,
             hash_buf[:size].reshape(rows, length), series_buf[:size].reshape(rows, length),
             deep_buf[:size].reshape(rows, length),
         )
 
-        # the series rises along each row, so a row crossed a target in
-        # this chunk iff its last value is above it; only those rows are
-        # searched. The chunk ends on a block boundary, so the first
-        # boundary above target1 is the one closing the first crossing's
-        # block: that value is the coarse clock's vstar.
-        r1, j1 = _first_crossing(series, have1[live], target1)
-        site1[live[r1]] = sites[r1, j1]
-        vstar[live[r1]] = series[r1, j1 // nu * nu + nu - 1]
+        # the chunk ends on a block boundary, so the first boundary above
+        # target1 is the one closing the first crossing's block: the clock
+        # there is the coarse clock's vstar
+        r1, k1 = _first_crossing(cols, vals, have1[live], target1)
+        site1[live[r1]] = sites[r1, cols[r1, k1]]
+        vstar[live[r1]] = _block_end_value(cols, vals, r1, k1, nu)
         have1[live[r1]] = True
-        r2, j2 = _first_crossing(series, have2[live], target2)
-        site2[live[r2]] = sites[r2, j2]
+        r2, k2 = _first_crossing(cols, vals, have2[live], target2)
+        site2[live[r2]] = sites[r2, cols[r2, k2]]
         have2[live[r2]] = True
         steps_done += length
 
         keep = ~have2[live]
-        live, keys, clock = live[keep], keys[keep], series[keep, -1]
+        live, keys, clock = live[keep], keys[keep], vals[keep, -1]
         pos = walk[:, -1].copy() if shared_walk else walk[keep, -1]
 
     dist = np.where(have2, hamming_u64(site1, site2), -1)
@@ -416,11 +456,33 @@ def _chunk_length(rows: int, budget: int, chunk: int, nu: int, remaining: int) -
     return length
 
 
-def _first_crossing(series: np.ndarray, have: np.ndarray, target: float):
-    """Rows not yet in `have` whose series passes `target` in this chunk,
-    and the first column above `target` in each of them."""
-    rows = np.flatnonzero(~have & (series[:, -1] > target))
-    return rows, np.argmax(series[rows] > target, axis=1)
+def _first_crossing(cols: np.ndarray, vals: np.ndarray, have: np.ndarray, target: float):
+    """Rows not yet in `have` whose clock passes `target` in this chunk,
+    and the entry of the pair at which each of them first does.
+
+    The chunk's clock is the pair of `_clock_series`: a REM chunk lists
+    only its deep steps, the clock being carried there alone, unless more
+    than a quarter of some row's steps are deep; then, and for p-spin, it
+    lists every step. The clock rises along each row and changes only at
+    listed steps, so a row crosses iff its last value is above `target`,
+    only those rows are searched, and the first value above `target` is
+    listed at the crossing step. The search reads the pair the same way in
+    either form.
+    """
+    rows = np.flatnonzero(~have & (vals[:, -1] > target))
+    return rows, np.argmax(vals[rows] > target, axis=1)
+
+
+def _block_end_value(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, at: np.ndarray,
+                     nu: int) -> np.ndarray:
+    """Clock of each of `rows` at the end of the `nu`-step block holding
+    its listed entry `at`: the value at the row's last listed step in that
+    block. Listed steps strictly rise, so it is at most nu - 1 entries on,
+    and only those entries are read."""
+    ends = cols[rows, at] // nu * nu + nu - 1
+    ahead = np.minimum(at[:, None] + np.arange(nu), cols.shape[1] - 1)
+    inside = np.count_nonzero(cols[rows[:, None], ahead] <= ends[:, None], axis=1)
+    return vals[rows, ahead[np.arange(rows.size), inside - 1]]
 
 
 def hamming_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -503,18 +565,32 @@ def _prepare(
     substream: int,
     step_cap_factor: float,
     groups: int = 2,
+    epsilons: Sequence[float] = (),
 ) -> tuple[RngStream, int]:
     """Check an estimator call; return its stream and its step cap.
 
     The stream defaults to substream `substream` of the model's stream;
-    `groups` is the frozen-chain estimator's group count.
+    `groups` is the frozen-chain estimator's group count and `epsilons`
+    the neighbourhood sizes an estimate is asked for. Each bad argument
+    raises a ValueError that names it, before any kernel runs.
     """
+    for name, value in (("t", t), ("s", s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t < 0 or s < 0 or t + s <= 0:
         raise ValueError("need t, s >= 0 and t + s > 0")
+    for name, count in (("replicas", replicas), ("groups", groups)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if replicas <= 0:
         raise ValueError("replicas must be positive")
     if groups < 2:
         raise ValueError("need at least two groups for a spread estimate")
+    for e in epsilons:
+        if not e >= 0.0:
+            raise ValueError(f"epsilon must be a number >= 0, got {e!r}")
+    if not (math.isfinite(step_cap_factor) and step_cap_factor > 0.0):
+        raise ValueError(f"step_cap_factor must be finite and > 0, got {step_cap_factor!r}")
     _check_kernel_domain(params)
     if rng is None:
         rng = params.stream().substream(substream)
@@ -543,8 +619,8 @@ def estimate_aging(
     with t + s > 0; s == 0 is the degenerate check where both crossing
     times coincide and the estimate is exactly 1.
     """
-    rng, cap = _prepare(params, t, s, replicas, rng, 3, step_cap_factor)
     eps_list = [epsilon] if np.isscalar(epsilon) else list(epsilon)
+    rng, cap = _prepare(params, t, s, replicas, rng, 3, step_cap_factor, epsilons=eps_list)
     dist, excluded, _ = _aging_kernel(params, t, s, replicas, rng, cap, mode)
 
     valid = dist[~excluded]
@@ -575,7 +651,8 @@ def estimate_aging_frozen(
     per-group means over sqrt(groups), which absorbs both the within-group
     binomial noise and the trajectory-to-trajectory variability.
     """
-    rng, cap = _prepare(params, t, s, replicas_per_group, rng, 4, step_cap_factor, groups)
+    rng, cap = _prepare(params, t, s, replicas_per_group, rng, 4, step_cap_factor, groups,
+                        epsilons=[epsilon])
     per_group = _frozen_kernel(params, t, s, replicas_per_group, groups, rng, cap)
 
     thresh = epsilon * params.N / 2.0

@@ -63,6 +63,40 @@ def test_validation():
         estimate_aging(PARAMS, 1.0, 1.0, 0.3, 10, mode="sk")
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"t": math.nan}, "t"), ({"t": math.inf}, "t"),
+    ({"s": -math.inf}, "s"), ({"s": math.nan}, "s"),
+    ({"epsilon": -0.5}, "epsilon"), ({"epsilon": math.nan}, "epsilon"),
+    ({"epsilon": [0.1, math.nan]}, "epsilon"),
+    ({"step_cap_factor": -1.0}, "step_cap_factor"), ({"step_cap_factor": 0.0}, "step_cap_factor"),
+    ({"step_cap_factor": math.inf}, "step_cap_factor"),
+    ({"step_cap_factor": math.nan}, "step_cap_factor"),
+    ({"replicas": True}, "replicas"), ({"replicas": 10.0}, "replicas"),
+    ({"replicas": 2.5}, "replicas"),
+])
+def test_bad_estimator_input_is_refused(monkeypatch, kwargs, name):
+    # each refusal names its argument and comes before any kernel runs
+    monkeypatch.setattr(aging, "_aging_batch", None)
+    call = {"t": 1.0, "s": 1.0, "epsilon": 0.3, "replicas": 10, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        estimate_aging(PARAMS, **call)
+    epsilon, replicas = call.pop("epsilon"), call.pop("replicas")
+    if np.isscalar(epsilon):
+        with pytest.raises(ValueError, match=name):
+            estimate_aging_frozen(PARAMS, epsilon=epsilon, replicas_per_group=replicas, **call)
+    if name != "epsilon":
+        with pytest.raises(ValueError, match=name):
+            estimate_range_miss(PARAMS, replicas=replicas, **call)
+
+
+def test_integral_counts_of_numpy_type_are_taken():
+    a = estimate_aging(PARAMS, 0.5, 0.5, 0.3, np.int64(40), rng=RngStream(41, 7))
+    b = estimate_aging(PARAMS, 0.5, 0.5, 0.3, 40, rng=RngStream(41, 7))
+    assert a == b
+    with pytest.raises(ValueError, match="groups"):
+        estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 5, groups=2.0)
+
+
 def test_kernel_domain_guards():
     with pytest.raises(ValueError, match="N <= 64"):
         estimate_aging(
@@ -246,17 +280,53 @@ def test_hamming_u64_matches_bit_count():
     assert hamming_u64(a, b).tolist() == want
 
 
+def _expand(cols, vals, clock, length):
+    # the clock after every step of a chunk from the pair of `_clock_series`:
+    # a row's last listed value at or before the step, its carried clock
+    # before its first listed step; checks the pair's padding on the way
+    series = np.empty((clock.size, length))
+    for i, (c, v) in enumerate(zip(cols, vals)):
+        listed = c < length
+        assert np.array_equal(listed, np.arange(c.size) < listed.sum())
+        assert np.all(np.diff(c[listed]) > 0) and np.all(c[~listed] == length)
+        assert np.all(v[~listed] == (v[listed][-1] if listed.any() else clock[i]))
+        k = np.searchsorted(c, np.arange(length), side="right") - 1
+        series[i] = np.where(k >= 0, v[np.maximum(k, 0)], clock[i])
+    return series
+
+
+def _check_crossings(cols, vals, series, clock, nu):
+    # the crossing rows and steps, the block value and the carried clock
+    # read off the pair are those of the dense series; rows whose clock is
+    # already above a target have crossed it; returns the crossings seen
+    assert np.array_equal(vals[:, -1], series[:, -1])
+    crossed = 0
+    for target in np.quantile(series[:, -1], [0.2, 0.5, 0.8]):
+        have = clock > target
+        rows, at = aging._first_crossing(cols, vals, have, target)
+        want = np.flatnonzero(~have & (series[:, -1] > target))
+        steps = np.argmax(series[want] > target, axis=1)
+        assert np.array_equal(rows, want) and np.array_equal(cols[rows, at], steps)
+        ends = steps // nu * nu + nu - 1
+        assert np.array_equal(aging._block_end_value(cols, vals, rows, at, nu), series[want, ends])
+        crossed += rows.size
+    return crossed
+
+
 def test_chunk_stages_match_allocating_reference():
-    # the in-place walk and clock series against the fresh-array form they
+    # the in-place walk and clock pair against the fresh-array form they
     # replace: same draws, same operations in the same order, same bytes;
-    # floor 0 keeps every site, a deep floor weights only the sites hashed
-    # at or above it and draws their waits in step order
-    N, n, chunk = 20, 5, 36
+    # floor 0 keeps every site and lists every step, deeper floors weight
+    # only the sites hashed at or above them, draw their waits in step
+    # order and list only those steps once they are few; at z0 = 2.5 some
+    # rows have no deep step, at z0 = 20 no row has one
+    N, n, chunk, nu = 20, 5, 144, 6
     root = 2.0 * math.sqrt(N)
     keys = aging._landscapes(PARAMS, "rem", RngStream(41, 24), np.arange(n))
     pos = np.random.default_rng(3).integers(0, 2**N, size=n, dtype=np.uint64)
     clock = np.linspace(0.0, 2.0, n)
-    for z0 in (-math.inf, 1.0):
+    compact = []
+    for z0 in (-math.inf, 1.0, 2.5, 20.0):
         floor = aging._deep_floor(z0)
         ref_gen = RngStream(41, 23).generator()
         gen = RngStream(41, 23).generator()
@@ -266,7 +336,9 @@ def test_chunk_stages_match_allocating_reference():
         sites = np.concatenate([pos[:, None], pos_after[:, :-1]], axis=1)
         h = mix64_array(sites + keys[:, None])
         deep = h >= np.uint64(floor)
-        assert deep.any() and deep.all() == (floor == 0)
+        assert deep.all() == (floor == 0)
+        assert deep.any(axis=1).all() == (z0 < 2.5) and deep.any() == (z0 < 20.0)
+        widest = max(int(deep.sum(axis=1).max()), 1)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         inc = np.zeros((n, chunk))
         inc[deep] = ref_gen.standard_exponential(size=deep.sum()) * np.exp(root * ndtri(u[deep]))
@@ -274,20 +346,25 @@ def test_chunk_stages_match_allocating_reference():
 
         walk = np.empty((n, chunk + 1), dtype=np.uint64)
         aging._walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
-        got = aging._clock_series(
+        cols, vals = aging._clock_series(
             keys, walk[:, :-1], clock, root, floor, gen,
             np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
             np.empty((n, chunk), dtype=bool),
         )
         assert np.array_equal(walk[:, :-1], sites)
         assert np.array_equal(walk[:, -1], pos_after[:, -1])
+        compact.append(vals.shape[1] < chunk)
+        assert compact[-1] == (4 * widest <= chunk)
+        got = _expand(cols, vals, clock, chunk)
         assert np.array_equal(got, want)
+        assert (_check_crossings(cols, vals, got, clock, nu) > 0) == (z0 < 20.0)
+    assert compact == [False, True, True, True]
 
 
 def test_pspin_chunk_stage_reads_each_rows_landscape():
     # every row's energies come from its own disorder at its own sites,
-    # checked against one energy() call per site
-    n, chunk = 3, 40
+    # checked against one energy() call per site; p-spin lists every step
+    n, chunk, nu = 3, 40, 8
     root = PSPIN.beta * math.sqrt(PSPIN.N)
     keys = aging._landscapes(PSPIN, "pspin", RngStream(41, 32), np.arange(n, dtype=np.uint64))
     sites = np.random.default_rng(4).integers(0, 2**PSPIN.N, size=(n, chunk), dtype=np.uint64)
@@ -297,12 +374,23 @@ def test_pspin_chunk_stage_reads_each_rows_landscape():
         [[d.energy(SpinConfig(PSPIN.N, int(b))) for b in row] for d, row in zip(keys, sites)]
     )
     want = clock[:, None] + np.cumsum(waits * np.exp(root * energies), axis=1)
-    got = aging._clock_series(
+    cols, vals = aging._clock_series(
         keys, sites, clock, root, 0, RngStream(41, 33).generator(),
         np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
         np.empty((n, chunk), dtype=bool),
     )
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert np.array_equal(cols, np.broadcast_to(np.arange(chunk), (n, chunk)))
+    np.testing.assert_allclose(_expand(cols, vals, clock, chunk), want, rtol=1e-12)
+    assert _check_crossings(cols, vals, vals, clock, nu) > 0
+
+
+def test_block_end_value_reads_the_last_listed_step_of_the_block():
+    # a 12-step chunk in blocks of 4: row 0 lists steps 1, 2, 3 and 9, row 1
+    # step 5 alone (padded with 12), row 2 steps 8 to 11 up to its last slot
+    cols = np.array([[1, 2, 3, 9], [5, 12, 12, 12], [8, 9, 10, 11]])
+    vals = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0], [6.0, 7.0, 8.0, 9.0]])
+    rows, at = np.array([0, 0, 1, 2, 2]), np.array([0, 3, 0, 1, 3])
+    assert aging._block_end_value(cols, vals, rows, at, 4).tolist() == [3.0, 4.0, 5.0, 9.0, 9.0]
 
 
 def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
@@ -342,9 +430,8 @@ def test_chunks_keep_the_element_budget(monkeypatch, shared):
     clock_series = aging._clock_series
 
     def recording(*args):
-        out = clock_series(*args)
-        shapes.append(out.shape)
-        return out
+        shapes.append(args[1].shape)
+        return clock_series(*args)
 
     monkeypatch.setattr(aging, "_clock_series", recording)
     stream = RngStream(41, 60)

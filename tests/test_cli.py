@@ -217,6 +217,18 @@ def test_aging_refuses_infeasible_preset(tmp_path, capsys):
     assert not (tmp_path / "aging.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "-0.5"), ("--epsilon", "nan"), ("--t", "nan"), ("--s", "nan"),
+])
+def test_aging_refuses_bad_estimator_input(tmp_path, capsys, flag, value):
+    # the run stops before any artifact and the message names the argument
+    rc = main(["aging", "--N", "10", "--beta", "1.5", "--gamma", "1.125",
+               "--replicas", "50", flag, value, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{flag[2:]} must be" in capsys.readouterr().err
+    assert not (tmp_path / "aging.json").exists()
+
+
 def test_aging_gamma_alpha_exclusive(tmp_path):
     base = ["aging", "--N", "10", "--beta", "1.5", "--out", str(tmp_path)]
     assert main(base + ["--gamma", "1.0", "--alpha", "0.5"]) == 2
