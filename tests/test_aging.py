@@ -597,6 +597,22 @@ def test_vstar_and_pspin_stream_are_pinned():
     )
 
 
+@pytest.mark.parametrize("N, replicas, stream, digest", [
+    (16, 96, 26, "aea805e535d8f4303fe442ae85ee9ce109d7515a87b9f68729a9b37b7433fcb2"),
+    (20, 40, 27, "69a4119847bd2cccf4b4b2fd728f8d42d3df9bbfc0d7d9a75a5db4aa293731bc"),
+], ids=["N16", "N20"])
+def test_larger_pspin_streams_are_pinned(N, replicas, stream, digest):
+    # SHA-256 of the whole dense p-spin kernel output at the N=10 gate's
+    # point, where the evaluator's row blocks (256 and 163 sites) split a
+    # chunk into several contractions; the same with one or two BLAS threads
+    params = ModelParams(N, p=3, beta=1.5, gamma=1.125)
+    arrays = aging._aging_kernel(
+        params, 1.0, 1.0, replicas, RngStream(41, stream),
+        aging._step_cap(params, 2.0, 8.0), "pspin",
+    )
+    assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+
 @pytest.mark.parametrize("factor, digest", [
     (8.0, "97c46f5bf972ae61c8d79c30efd73ac4f49b158b672f837647554231290a5eaa"),
     (0.3, "e242a08e123ddb66ad41201baa77a11f22558d2b1e676aa0aeded9cad9e19898"),
