@@ -16,7 +16,11 @@ one-word row of the configuration format `hypercube` defines (N <= 64, so
 the word is `SpinConfig.bits`). REM energies come from the counter-based
 hash of `RemDisorder`, so revisits see the same trap depth without storing
 the visited set; p-spin energies come from each replica's dense couplings
-(`PSpinDisorder.energy_of_words`). On the scale
+(`PSpinDisorder.energy_of_words`), in that evaluator's row blocks, and a
+row's energies stop once its clock is past the second target at a block
+boundary, since nothing after its second crossing is read. During a
+p-spin kernel call numpy's OpenBLAS runs on one thread, so each worker
+thread contracts alone (`_one_blas_thread`). On the scale
 e**(gamma*N) the clock is carried by deep traps, so the REM kernel hashes
 every visited site but gives a depth, an exponential weight and a wait only
 to sites at or above a level z0; shallower visits add nothing. z0 is set
@@ -39,9 +43,14 @@ depend on the batch size and the chunk length but not on the core count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,6 +163,60 @@ def _run_jobs(fn, jobs: list[tuple]) -> list:
         return [f.result() for f in futures]
 
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy ships
+    (``libscipy_openblas64_`` in ``numpy.libs`` or ``numpy/.dylibs``), or
+    None where numpy ships none."""
+    here = os.path.dirname(np.__file__)
+    for where in (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
+            try:
+                lib = ctypes.CDLL(path)
+                get = lib.scipy_openblas_get_num_threads64_
+                put = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+# OpenBLAS's thread count is process-wide: the callers now inside
+# `_one_blas_thread` and the count the last of them restores
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_threads = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread and restore its
+    thread count after, also when the body raises; do nothing where that
+    library is not found (`_openblas`). The p-spin contractions are small
+    and already run one per worker thread, where a threaded BLAS only adds
+    contention. Concurrent callers share the cap: the first one in sets it
+    and the last one out restores the count the first one found."""
+    global _blas_users, _blas_threads
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_threads = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_threads)
+
+
 def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
     """One chunk of the walk, in place along the last axis of `walk`.
 
@@ -174,6 +237,8 @@ def _clock_series(
     clock: np.ndarray,
     root: float,
     floor: int,
+    stop: float,
+    nu: int,
     wait_gen: np.random.Generator,
     h: np.ndarray,
     out: np.ndarray,
@@ -187,66 +252,107 @@ def _clock_series(
     value. Each step adds ``wait * exp(root * energy)``, the waits drawn
     from `wait_gen` in step order, and the listed values are ``clock +
     cumsum`` of those increments. A p-spin row is a disorder, evaluated at
-    its own sites; every step draws a wait and is listed. A REM key gives
-    site x the hash ``mix64(key + x)``, whose `gaussian_from_bits` depth is
-    the energy a `RemDisorder` with that key assigns to x. Only deep sites,
-    whose hash is at least `floor` (`_deep_floor`), get a depth and a wait;
-    the others add nothing, so the clock is carried at deep steps only.
-    When no row has more than a quarter of its steps deep, each row lists
-    only its deep steps; otherwise (floor 0, high temperature, small N) the
-    pair is dense, every step listed. Both forms give the same values
-    bitwise: adding 0.0 is exact and the cumsum runs in step order along
-    each row. `h` (uint64), `out` (float64) and `deep` (bool) are work
-    arrays of the chunk's shape that hold the stages and the pair.
+    its own sites; every step draws a wait and is listed. Its energies stop
+    after the first of the disorder's row blocks in which its clock is above
+    `stop` at the end of a complete `nu`-step block (`_pspin_row`), where
+    both crossings and the first one's block value are known; past that the
+    row keeps its last value. The chunk's waits are all drawn before any
+    energy, so the stop moves no draw. REM rows ignore `stop` and `nu`. A
+    REM key gives site x the hash ``mix64(key + x)``, whose
+    `gaussian_from_bits` depth is the energy a `RemDisorder` with that key
+    assigns to x. Only deep sites, whose hash is at least `floor`
+    (`_deep_floor`), get a depth and a wait; the others add nothing, so the
+    clock is carried at deep steps only. When no row has more than a quarter
+    of its steps deep, each row lists only its deep steps; otherwise (floor
+    0, high temperature, small N) the pair is dense, every step listed. Both
+    forms give the same values bitwise: adding 0.0 is exact and the cumsum
+    runs in step order along each row. `h` (uint64), `out` (float64) and
+    `deep` (bool) are work arrays of the chunk's shape that hold the stages
+    and the pair.
     """
     rows, length = sites.shape
     if keys.dtype == object:
+        # the whole chunk's waits come first, so the stop moves no draw
+        waits = wait_gen.standard_exponential(out=h.view(np.float64))
         for i, disorder in enumerate(keys):
-            out[i] = disorder.energy_of_words(sites[i, :, None])
-        inc, spare, idx = out, h.view(np.float64), None
-    else:
-        np.add(sites, keys[:, None], out=h)
-        mix64_inplace(h, out.view(np.uint64))
-        np.greater_equal(h, np.uint64(floor), out=deep)
-        idx = np.flatnonzero(deep)
-        # the deep steps' hashes, depths and waits are packed at the front
-        # of `out` and `h`; "clip" spares the copy "raise" makes
-        bits = np.take(h, idx, out=out.reshape(-1).view(np.uint64)[: idx.size], mode="clip")
-        inc = gaussian_from_bits(bits, h.reshape(-1).view(np.float64)[: idx.size])
-        spare = bits.view(np.float64)
+            _pspin_row(disorder, sites[i], waits[i], out[i], clock[i], root, stop, nu)
+        out += clock[:, None]
+        return _every_step(h, rows, length), out
+
+    np.add(sites, keys[:, None], out=h)
+    mix64_inplace(h, out.view(np.uint64))
+    np.greater_equal(h, np.uint64(floor), out=deep)
+    idx = np.flatnonzero(deep)
+    # the deep steps' hashes, depths and waits are packed at the front of
+    # `out` and `h`; "clip" spares the copy "raise" makes
+    bits = np.take(h, idx, out=out.reshape(-1).view(np.uint64)[: idx.size], mode="clip")
+    inc = gaussian_from_bits(bits, h.reshape(-1).view(np.float64)[: idx.size])
     inc *= root
     np.exp(inc, out=inc)
-    inc *= wait_gen.standard_exponential(out=spare)
+    inc *= wait_gen.standard_exponential(out=bits.view(np.float64))
 
     vals, cols, slots = out, None, idx
-    if idx is not None:
-        bounds = np.searchsorted(idx, np.arange(0, (rows + 1) * length, length))
-        counts = np.diff(bounds)
-        width = max(int(counts.max()), 1)
-        if 4 * width <= length:
-            # compact: row i's k-th deep step goes to slot k of row i; the
-            # pair fills at most half of `h` past the increments
-            row = np.repeat(np.arange(rows), counts)
-            col = idx - row * length
-            slots = row * width + np.arange(idx.size) - bounds[row]
-            vals = out.reshape(-1)[: rows * width].reshape(rows, width)
-            cols = h.reshape(-1).view(np.int64)[inc.size : inc.size + vals.size]
-            cols.fill(length)
-            cols[slots] = col
-            cols = cols.reshape(rows, width)
-        vals.fill(0.0)
-        vals.reshape(-1)[slots] = inc
+    bounds = np.searchsorted(idx, np.arange(0, (rows + 1) * length, length))
+    counts = np.diff(bounds)
+    width = max(int(counts.max()), 1)
+    if 4 * width <= length:
+        # compact: row i's k-th deep step goes to slot k of row i; the pair
+        # fills at most half of `h` past the increments
+        row = np.repeat(np.arange(rows), counts)
+        col = idx - row * length
+        slots = row * width + np.arange(idx.size) - bounds[row]
+        vals = out.reshape(-1)[: rows * width].reshape(rows, width)
+        cols = h.reshape(-1).view(np.int64)[inc.size : inc.size + vals.size]
+        cols.fill(length)
+        cols[slots] = col
+        cols = cols.reshape(rows, width)
+    vals.fill(0.0)
+    vals.reshape(-1)[slots] = inc
     if cols is None:
-        # every step listed: the step index, built in `h` (free once the
-        # increments are in `vals`) and shared by the rows
-        cols = h.reshape(-1).view(np.int64)[:length]
-        cols.fill(1)
-        np.cumsum(cols, out=cols)
-        cols -= 1
-        cols = np.broadcast_to(cols, (rows, length))
+        # `h` is free once the increments are in `vals`
+        cols = _every_step(h, rows, length)
     np.cumsum(vals, axis=1, out=vals)
     vals += clock[:, None]
     return cols, vals
+
+
+def _every_step(h: np.ndarray, rows: int, length: int) -> np.ndarray:
+    """The `cols` of a pair that lists every step: the step index, built in
+    the free work array `h` and shared by the rows."""
+    cols = h.reshape(-1).view(np.int64)[:length]
+    cols.fill(1)
+    np.cumsum(cols, out=cols)
+    cols -= 1
+    return np.broadcast_to(cols, (rows, length))
+
+
+def _pspin_row(disorder: PSpinDisorder, sites: np.ndarray, waits: np.ndarray,
+               out: np.ndarray, clock: float, root: float, stop: float, nu: int) -> None:
+    """One p-spin row of `_clock_series`: ``cumsum(waits * exp(root *
+    energy))`` over the row's `sites`, into `out`.
+
+    The energies come in the disorder's own row blocks (`row_block` sites),
+    the cumsum carried from block to block, so the bytes are those of one
+    `energy_of_words` call and one cumsum over the whole row. Evaluation
+    stops after the first block in which ``clock + sum`` is above `stop` at
+    the end of a complete `nu`-step block: both crossings and the block value
+    of the first are then known. The rest of `out` keeps the last sum.
+    """
+    step = disorder.row_block
+    for lo in range(0, sites.size, step):
+        hi = min(lo + step, sites.size)
+        inc = out[lo:hi]
+        inc[:] = disorder.energy_of_words(sites[lo:hi, None])
+        inc *= root
+        np.exp(inc, out=inc)
+        inc *= waits[lo:hi]
+        if lo:
+            inc[0] += out[lo - 1]
+        np.cumsum(inc, out=inc)
+        end = hi // nu * nu - 1
+        if end >= 0 and clock + out[end] > stop:
+            out[hi:] = out[hi - 1]
+            return
 
 
 def _deep_level(root: float, target1: float, step_cap: int, dropped: float) -> float:
@@ -349,7 +455,8 @@ def _aging_kernel(
         return _aging_batch(_landscapes(params, mode, key_rng, ids), gen, gen,
                             params.N, nu, root, targets, step_cap, chunk, floor)
 
-    parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, _BATCH)])
+    with _one_blas_thread() if mode == "pspin" else contextlib.nullcontext():
+        parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, _BATCH)])
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -416,7 +523,7 @@ def _aging_batch(
         sites = np.broadcast_to(walk[:, :-1], (rows, length))
         size = rows * length
         cols, vals = _clock_series(
-            keys, sites, clock, root, floor, wait_gen,
+            keys, sites, clock, root, floor, target2, nu, wait_gen,
             hash_buf[:size].reshape(rows, length), series_buf[:size].reshape(rows, length),
             deep_buf[:size].reshape(rows, length),
         )
@@ -619,7 +726,8 @@ def estimate_aging(
     with t + s > 0; s == 0 is the degenerate check where both crossing
     times coincide and the estimate is exactly 1.
     """
-    eps_list = [epsilon] if np.isscalar(epsilon) else list(epsilon)
+    scalar = np.ndim(epsilon) == 0
+    eps_list = [epsilon] if scalar else list(epsilon)
     rng, cap = _prepare(params, t, s, replicas, rng, 3, step_cap_factor, epsilons=eps_list)
     dist, excluded, _ = _aging_kernel(params, t, s, replicas, rng, cap, mode)
 
@@ -631,7 +739,7 @@ def estimate_aging(
         )
         for e in eps_list
     ]
-    return out[0] if np.isscalar(epsilon) else out
+    return out[0] if scalar else out
 
 
 def estimate_aging_frozen(

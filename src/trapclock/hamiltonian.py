@@ -82,6 +82,11 @@ class PSpinDisorder(_Landscape):
         self.p = p
         self.mode = mode
         self._norm = N ** (-p / 2.0)
+        # rows per contraction block of `energy_of_words`: the sign block and
+        # the first fold product stay near _FOLD_FLOATS floats; a hashed slab
+        # has one axis fewer than the tensor
+        axes = p - (mode == "hashed")
+        self.row_block = max(1, _FOLD_FLOATS // max(N, N ** (axes - 1)))
         if mode == "dense":
             self.couplings = stream.generator().standard_normal((N,) * p)
             self._key = None
@@ -118,13 +123,12 @@ class PSpinDisorder(_Landscape):
         """Energies of rows of configuration words (bit i set: spin i is
         -1), one sign column per row (BLAS runs several times slower on a
         transposed view). Hashed couplings sum signs[i] times the contracted
-        slab of first index i, so memory stays at N^{p-1}. Row blocks keep
-        the sign block and the first fold product near _FOLD_FLOATS floats;
-        a slab has one axis fewer than the tensor."""
+        slab of first index i, so memory stays at N^{p-1}. Rows are
+        contracted `row_block` at a time, so a call on whole row blocks of a
+        longer array gives the same bytes as the call on all of it."""
         packed = words.astype("<u8", copy=False).view(np.uint8)
         out = np.empty(packed.shape[0])
-        axes = self.p - (self.mode == "hashed")
-        step = max(1, _FOLD_FLOATS // max(self.N, self.N ** (axes - 1)))
+        step = self.row_block
         for lo in range(0, packed.shape[0], step):
             bits = np.unpackbits(
                 packed[lo : lo + step], axis=1, count=self.N, bitorder="little"

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import math
 import multiprocessing
+import sys
 import threading
 import warnings
 
@@ -143,6 +145,13 @@ def test_scalar_epsilon_matches_sweep_entry(sweep):
     assert isinstance(single, AgingEstimate)
     assert single.estimate == sweep[1].estimate
     assert single.excluded == sweep[1].excluded
+
+
+def test_zero_dim_epsilon_is_a_scalar():
+    a = estimate_aging(PARAMS, 0.5, 0.5, np.array(0.3), 40, rng=RngStream(41, 7))
+    b = estimate_aging(PARAMS, 0.5, 0.5, 0.3, 40, rng=RngStream(41, 7))
+    assert isinstance(a, AgingEstimate) and a == b
+    assert estimate_aging(PARAMS, 0.5, 0.5, np.array([0.3]), 40, rng=RngStream(41, 7)) == [b]
 
 
 def test_rerun_is_deterministic():
@@ -347,7 +356,7 @@ def test_chunk_stages_match_allocating_reference():
         walk = np.empty((n, chunk + 1), dtype=np.uint64)
         aging._walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
         cols, vals = aging._clock_series(
-            keys, walk[:, :-1], clock, root, floor, gen,
+            keys, walk[:, :-1], clock, root, floor, math.inf, nu, gen,
             np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
             np.empty((n, chunk), dtype=bool),
         )
@@ -375,13 +384,82 @@ def test_pspin_chunk_stage_reads_each_rows_landscape():
     )
     want = clock[:, None] + np.cumsum(waits * np.exp(root * energies), axis=1)
     cols, vals = aging._clock_series(
-        keys, sites, clock, root, 0, RngStream(41, 33).generator(),
+        keys, sites, clock, root, 0, math.inf, nu, RngStream(41, 33).generator(),
         np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),
         np.empty((n, chunk), dtype=bool),
     )
     assert np.array_equal(cols, np.broadcast_to(np.arange(chunk), (n, chunk)))
     np.testing.assert_allclose(_expand(cols, vals, clock, chunk), want, rtol=1e-12)
     assert _check_crossings(cols, vals, vals, clock, nu) > 0
+
+
+def test_pspin_rows_stop_after_the_second_crossing():
+    # a finite stop leaves the crossings, the block values and every value
+    # up to the stop as an infinite one does, and the row flat past it; a
+    # row stops after the first row block (655 sites at N=10) in which its
+    # last complete nu-block ends above the stop
+    n, length, nu = 8, 2046, 3
+    root = PSPIN.beta * math.sqrt(PSPIN.N)
+    keys = aging._landscapes(PSPIN, "pspin", RngStream(41, 37), np.arange(n, dtype=np.uint64))
+    step = keys[0].row_block
+    sites = np.random.default_rng(8).integers(0, 2**PSPIN.N, size=(n, length), dtype=np.uint64)
+    clock = np.zeros(n)
+
+    def chunk(stop):
+        return aging._clock_series(
+            keys, sites, clock, root, 0, stop, nu, RngStream(41, 38).generator(),
+            np.empty((n, length), dtype=np.uint64), np.empty((n, length)),
+            np.empty((n, length), dtype=bool),
+        )
+
+    cols, full = chunk(math.inf)
+    # the second pair puts row 0's crossings at step 654: past the first
+    # row block's last complete block (steps 651-653), so it runs on
+    mid = (full[0, 653] + full[0, 654]) / 2
+    for target1, target2 in [(np.median(full[:, 653]), np.median(full[:, -1])), (mid, mid)]:
+        stop_cols, vals = chunk(target2)
+        assert np.array_equal(stop_cols, cols)
+        stops = []
+        for i in range(n):
+            ends = [hi for hi in range(step, length, step) if full[i, hi // nu * nu - 1] > target2]
+            stops.append(ends[0] if ends else length)
+            assert np.array_equal(vals[i, : stops[i]], full[i, : stops[i]])
+            assert np.all(vals[i, stops[i] :] == full[i, stops[i] - 1])
+        if target2 == mid:
+            assert stops[0] == 2 * step
+        else:
+            assert 0 < sum(hi < length for hi in stops) < n
+        for target in (target1, target2):
+            have = np.zeros(n, dtype=bool)
+            rows, at = aging._first_crossing(cols, full, have, target)
+            stop_rows, stop_at = aging._first_crossing(cols, vals, have, target)
+            assert rows.size and np.array_equal(stop_rows, rows) and np.array_equal(stop_at, at)
+            assert np.array_equal(aging._block_end_value(cols, vals, rows, at, nu),
+                                  aging._block_end_value(cols, full, rows, at, nu))
+
+
+def test_pspin_preset_evaluates_few_of_its_chunk_energies(monkeypatch):
+    # on the N=10 preset's stream most replicas cross twice early in their
+    # first chunk, so under 40% of the chunk columns get an energy; each
+    # evaluator call is one row block or the chunk's remainder past the last
+    calls, shapes = [], []
+    evaluate, clock_series = PSpinDisorder.energy_of_words, aging._clock_series
+
+    def counting(self, words):
+        calls.append((self.row_block, words.shape[0]))
+        return evaluate(self, words)
+
+    def recording(*args):
+        shapes.append(args[1].shape)
+        return clock_series(*args)
+
+    monkeypatch.setattr(PSpinDisorder, "energy_of_words", counting)
+    monkeypatch.setattr(aging, "_clock_series", recording)
+    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin", rng=PSPIN.stream().substream(3))
+    assert {block for block, _ in calls} == {655}
+    remainders = {length % 655 for _, length in shapes}
+    assert all(m == 655 or m in remainders for _, m in calls)
+    assert sum(m for _, m in calls) < 0.4 * sum(rows * length for rows, length in shapes)
 
 
 def test_block_end_value_reads_the_last_listed_step_of_the_block():
@@ -391,6 +469,84 @@ def test_block_end_value_reads_the_last_listed_step_of_the_block():
     vals = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0], [6.0, 7.0, 8.0, 9.0]])
     rows, at = np.array([0, 0, 1, 2, 2]), np.array([0, 3, 0, 1, 3])
     assert aging._block_end_value(cols, vals, rows, at, 4).tolist() == [3.0, 4.0, 5.0, 9.0, 9.0]
+
+
+def _pspin_kernel_bytes():
+    return [a.tobytes() for a in aging._aging_kernel(
+        PSPIN, 0.5, 0.5, 70, RngStream(41, 25), aging._step_cap(PSPIN, 1.0, 8.0), "pspin"
+    )]
+
+
+def test_pspin_kernel_runs_blas_on_one_thread(monkeypatch):
+    # p-spin jobs see one BLAS thread, REM jobs the caller's count, and the
+    # count comes back after the call, also after a job that raises
+    api = aging._openblas()
+    if api is None:
+        pytest.skip("numpy ships no scipy-openblas library here")
+    get, put = api
+    threads, seen = get(), []
+    batch = aging._aging_batch
+
+    def recording(*args):
+        seen.append(get())
+        return batch(*args)
+
+    def failing(*args):
+        raise RuntimeError("job failed")
+
+    try:
+        put(2)
+        monkeypatch.setattr(aging, "_aging_batch", recording)
+        _pspin_kernel_bytes()
+        assert seen and set(seen) == {1} and get() == 2
+        seen.clear()
+        aging._aging_kernel(PARAMS, 1, 1, 40, RngStream(41, 40), aging._step_cap(PARAMS, 2.0, 8.0))
+        assert seen and set(seen) == {2} and get() == 2
+        monkeypatch.setattr(aging, "_aging_batch", failing)
+        with pytest.raises(RuntimeError, match="job failed"):
+            _pspin_kernel_bytes()
+        assert get() == 2
+    finally:
+        put(threads)
+
+
+def test_concurrent_blas_caps_restore_the_first_count():
+    # threads entering and leaving the cap in any interleaving all see one
+    # BLAS thread inside it, and the count found first comes back at the end
+    api = aging._openblas()
+    if api is None:
+        pytest.skip("numpy ships no scipy-openblas library here")
+    get, put = api
+    threads, seen = get(), []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with aging._one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    try:
+        put(2)
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert len(seen) == 800 and set(seen) == {1} and get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(threads)
+
+
+@pytest.mark.parametrize("name, stand_in", [
+    ("_one_blas_thread", contextlib.nullcontext), ("_openblas", lambda: None),
+], ids=["cap-off", "no-library"])
+def test_pspin_kernel_bytes_ignore_the_blas_cap(monkeypatch, name, stand_in):
+    want = _pspin_kernel_bytes()
+    monkeypatch.setattr(aging, name, stand_in)
+    assert _pspin_kernel_bytes() == want
 
 
 def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):

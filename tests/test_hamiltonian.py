@@ -117,6 +117,19 @@ def test_energy_of_bits_matches_energy(p):
         assert np.max(np.abs(es - want)) < 1e-12
 
 
+@pytest.mark.parametrize("N, mode, block", [
+    (10, "dense", 655), (16, "dense", 256), (20, "dense", 163), (20, "hashed", 3276),
+])
+def test_calls_on_whole_row_blocks_give_the_bytes_of_one_call(N, mode, block):
+    # the aging kernel evaluates a row one row block at a time and relies on
+    # getting the bytes of the call on the whole row
+    dis = PSpinDisorder(N, 3, RngStream(13, N), mode=mode)
+    assert dis.row_block == block
+    words = np.random.default_rng(N).integers(0, 2**N, size=(2 * block + 17, 1), dtype=np.uint64)
+    parts = [dis.energy_of_words(words[lo : lo + block]) for lo in range(0, words.shape[0], block)]
+    assert np.concatenate(parts).tobytes() == dis.energy_of_words(words).tobytes()
+
+
 @pytest.mark.parametrize("mode", ["dense", "hashed"])
 def test_pspin_trajectory_energies_beyond_64_spins(mode):
     dis = PSpinDisorder(70, 2, RngStream(13, 5), mode=mode)
