@@ -165,20 +165,19 @@ def _run_jobs(fn, jobs: list[tuple]) -> list:
 
 @functools.cache
 def _openblas():
-    """The thread-count getter and setter of the OpenBLAS that numpy ships
-    (``libscipy_openblas64_`` in ``numpy.libs`` or ``numpy/.dylibs``), or
-    None where numpy ships none."""
-    here = os.path.dirname(np.__file__)
-    for where in (os.path.join(here, os.pardir, "numpy.libs"), os.path.join(here, ".dylibs")):
-        for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
-            try:
-                lib = ctypes.CDLL(path)
-                get = lib.scipy_openblas_get_num_threads64_
-                put = lib.scipy_openblas_set_num_threads64_
-            except (OSError, AttributeError):
-                continue
-            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
-            return get, put
+    """The thread-count getter and setter of the OpenBLAS that numpy wheels
+    ship (``libscipy_openblas64_`` in ``numpy.libs``), or None where numpy
+    ships none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+        return get, put
     return None
 
 
