@@ -20,7 +20,7 @@ the visited set; p-spin energies come from each replica's dense couplings
 row's energies stop once its clock is past the second target at a block
 boundary, since nothing after its second crossing is read. During a
 p-spin kernel call numpy's OpenBLAS runs on one thread, so each worker
-thread contracts alone (`_one_blas_thread`). On the scale
+contracts alone (`hamiltonian._one_blas_thread`). On the scale
 e**(gamma*N) the clock is carried by deep traps, so the REM kernel hashes
 every visited site but gives a depth, an exponential weight and a wait only
 to sites at or above a level z0; shallower visits add nothing. z0 is set
@@ -37,21 +37,23 @@ element budget, so its survivors run longer chunks, not more of them. The
 frozen-chain estimator runs the same batch code in shared-walk mode: one
 walk per group, broadcast against the group's per-replica traps and waits.
 Replicas run in batches of 32; batches and frozen-chain groups each own
-their random streams and run on up to one thread per core, so the results
+their random streams and run on up to one worker per core, so the results
 depend on the batch size and the chunk length but not on the core count.
+The workers are threads for a call predicted to take under `_POOL_STEPS`
+walk steps (`_aging_work`), and the processes of one persistent pool,
+forked on first use, for larger calls (`_run_jobs`).
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
-import ctypes
-import functools
-import glob
 import math
 import numbers
 import os
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,7 +61,7 @@ import numpy as np
 from scipy.special import ndtri_exp
 
 from .core import ModelParams, RngStream, gaussian_from_bits, mix64_inplace
-from .hamiltonian import PSpinDisorder
+from .hamiltonian import PSpinDisorder, _one_blas_thread, _openblas
 from .stable import arcsine_cdf
 
 # fraction of replicas allowed to exhaust the step budget before the
@@ -139,81 +141,133 @@ def _landscapes(params: ModelParams, mode: str, rng: RngStream, ids: np.ndarray)
                      for i in ids], dtype=object)
 
 
+def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
+    """Expected microscopic steps of `replicas` clocks run to `horizon`, from
+    the inverse stable mean ``r_steps(1) * horizon**alpha / Gamma(1 + alpha)``
+    per replica; inf where that law gives no finite prediction."""
+    if params.beta <= 0.0:
+        return replicas * horizon * math.exp(params.gamma * params.N)
+    alpha = params.alpha()
+    if not 0.0 < alpha < 1.0:
+        return math.inf
+    try:
+        r1 = params.r_steps(1.0)
+    except OverflowError:
+        return math.inf
+    return replicas * r1 * horizon**alpha / math.gamma(1.0 + alpha)
+
+
 def _cpu_count() -> int:
-    """Cores this process may run on: the size of the batch thread pool."""
+    """Cores this process may run on: the size of the batch worker pools."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
 
 
-def _run_jobs(fn, jobs: list[tuple]) -> list:
-    """[fn(*job) for job in jobs], on up to one thread per core.
+# predicted step work (`_aging_work`) from which a call runs on the worker
+# processes; smaller calls, such as the CLI presets, run on threads, since
+# forking the pool (about 20 ms) and pickling jobs cost more than they save
+_POOL_STEPS = 1e6
 
-    Every job owns its random streams, so neither the worker count nor the
-    order in which jobs finish changes a result. The chunk stages are numpy
-    and scipy ufuncs or Generator fills, which release the GIL. The pool
-    lives for this call only; a single job runs inline.
+# the worker processes (a ProcessPoolExecutor), forked on first use and
+# kept for later calls
+_pool = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _cap_worker_blas() -> None:
+    """Worker initializer: OpenBLAS on one thread for the worker's life."""
+    api = _openblas()
+    if api is not None:
+        api[1](1)
+
+
+def _process_pool(workers: int):
+    """The module's process pool with `workers` workers, started on first use
+    and started again when the count differs from the running pool's.
+
+    Workers are forked: fork needs no helper process and its workers start
+    at once, where a forkserver's first call took about 0.6 s. Each worker
+    runs OpenBLAS on one thread (`_cap_worker_blas`), and Python's exit
+    hook for `concurrent.futures` joins the workers when the interpreter
+    exits."""
+    # imported by the first pooled call, so that a process that never pools
+    # does not carry the process machinery (about 0.5 MB)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_cap_worker_blas,
+            )
+            _pool_workers = workers
+        return _pool
+
+
+def _drop_pool(pool) -> None:
+    """Forget `pool` and shut it down: after one of its workers died, so that
+    the next call forks a new one, and at exit (`_close_pool`)."""
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    pool.shutdown()
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Drop the pool at exit, while the modules its finalizer uses still
+    exist; collected later, in module teardown, it prints an ignored
+    AttributeError. `concurrent.futures` has joined the workers by then."""
+    if _pool is not None:
+        _drop_pool(_pool)
+
+
+def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
+    """[fn(*job) for job in jobs], on up to one worker per core.
+
+    Every job owns its random streams, so neither the worker count, the kind
+    of worker nor the order in which jobs finish changes a result. A single
+    job, or a single core, runs inline. On Linux, a call whose predicted
+    step work `work` (`_aging_work`) is at least `_POOL_STEPS` runs on the
+    module's process pool (`_process_pool`): threads barely gain there,
+    since the chunks' `cumsum` and the walk's `bitwise_xor.accumulate` hold
+    the GIL. Smaller calls run on threads that live for the call only, so
+    they pay no process start-up. Pooled jobs and results are pickled: `fn`
+    is a module-level function and its arguments are stream handles and
+    scalars. The workers are forked once and keep every module as it was at
+    that moment: a module attribute changed later (a test's monkeypatch)
+    never reaches them, and one changed before the fork stays in them, so
+    code that patches must keep its calls off the pool. A failed job fails
+    the call and cancels its jobs not yet started; a dead worker breaks the
+    pool, and the next call forks a new one.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
-
-
-@functools.cache
-def _openblas():
-    """The thread-count getter and setter of the OpenBLAS that numpy wheels
-    ship (``libscipy_openblas64_`` in ``numpy.libs``), or None where numpy
-    ships none."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+    if work >= _POOL_STEPS and sys.platform == "linux":
+        pool = _process_pool(_cpu_count())
+        futures = []
         try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
-        return get, put
-    return None
-
-
-# OpenBLAS's thread count is process-wide: the callers now inside
-# `_one_blas_thread` and the count the last of them restores
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_threads = 1
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread and restore its
-    thread count after, also when the body raises; do nothing where that
-    library is not found (`_openblas`). The p-spin contractions are small
-    and already run one per worker thread, where a threaded BLAS only adds
-    contention. Concurrent callers share the cap: the first one in sets it
-    and the last one out restores the count the first one found."""
-    global _blas_users, _blas_threads
-    api = _openblas()
-    if api is None:
-        yield
-        return
-    get, put = api
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_threads = get()
-            put(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                put(_blas_threads)
+            futures = [pool.submit(fn, *job) for job in jobs]
+            return [f.result() for f in futures]
+        except BrokenExecutor:  # a worker died: the pool is broken
+            _drop_pool(pool)
+            raise
+        finally:
+            # after a failed job, the others need not run
+            for f in futures:
+                f.cancel()
+    with ThreadPoolExecutor(max_workers=workers) as threads:
+        futures = [threads.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
 
 
 def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
@@ -424,13 +478,14 @@ def _aging_kernel(
     Replica i's landscape lives on ``rng.substream(1).substream(i)``: the
     `RemDisorder` or (mode "pspin") the dense `PSpinDisorder` of that
     stream. Replicas run in batches of ``_BATCH`` (32), each built inside
-    its job with its own generator keyed by its first replica; free threads,
-    up to one per core, take the next batch. A batch draws its flips and
-    waits from that one generator, flips first in every chunk, and its
-    chunks keep a fixed element budget (`_chunk_length`). So the results
-    depend on ``_BATCH`` and the chunk length but not on the worker count.
-    REM visits below the deep level of `dropped` add nothing to the clock
-    (`_deep_level`); ``dropped=0`` is the exact kernel.
+    its job (`_aging_job`) with its own generator keyed by its first
+    replica; free workers, up to one per core, take the next batch. A batch
+    draws its flips and waits from that one generator, flips first in every
+    chunk, and its chunks keep a fixed element budget (`_chunk_length`). So
+    the results depend on ``_BATCH`` and the chunk length but not on the
+    worker count or kind (`_run_jobs`). REM visits below the deep level of
+    `dropped` add nothing to the clock (`_deep_level`); ``dropped=0`` is the
+    exact kernel.
 
     Returns (dist, excluded, vstar), one entry per replica, as in
     `_aging_batch`: the crossing distance (-1 where the step cap came
@@ -445,18 +500,23 @@ def _aging_kernel(
             raise ValueError("p-spin kernel needs beta > 0")
     elif mode != "rem":
         raise ValueError(f"unknown mode {mode!r}")
-    nu, chunk, targets, root, floor = _kernel_scales(params, t, s, step_cap, dropped)
+    scales = _kernel_scales(params, t, s, step_cap, dropped)
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
-
-    def job(lo: int):
-        ids = np.arange(lo, min(lo + _BATCH, replicas), dtype=np.uint64)
-        gen = batch_rng.substream(lo).generator()
-        return _aging_batch(_landscapes(params, mode, key_rng, ids), gen, gen,
-                            params.N, nu, root, targets, step_cap, chunk, floor)
-
+    jobs = [(params, mode, key_rng, batch_rng, lo, min(lo + _BATCH, replicas), step_cap, *scales)
+            for lo in range(0, replicas, _BATCH)]
     with _one_blas_thread() if mode == "pspin" else contextlib.nullcontext():
-        parts = _run_jobs(job, [(lo,) for lo in range(0, replicas, _BATCH)])
+        parts = _run_jobs(_aging_job, jobs, _aging_work(params, t + s, replicas))
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _aging_job(params: ModelParams, mode: str, key_rng: RngStream, batch_rng: RngStream,
+               lo: int, hi: int, step_cap: int, nu: int, chunk: int, targets, root: float,
+               floor: int):
+    """`_aging_batch` of replicas lo..hi-1 of an `_aging_kernel` call: their
+    landscapes from `key_rng`, their generator from ``batch_rng.substream(lo)``."""
+    gen = batch_rng.substream(lo).generator()
+    keys = _landscapes(params, mode, key_rng, np.arange(lo, hi, dtype=np.uint64))
+    return _aging_batch(keys, gen, gen, params.N, nu, root, targets, step_cap, chunk, floor)
 
 
 def _aging_batch(
@@ -612,18 +672,26 @@ def _frozen_kernel(
     walk drawn from substream 1 of the group's stream, while the traps
     (keys from substream 3) and the exponential marks (substream 2) are
     per replica. Finished replicas retire, as in the aging kernel. Groups
-    run on up to one thread per core; `dropped` is as in `_aging_kernel`.
-    Returns a list of (dist, excluded) pairs, one per group.
+    run on up to one worker per core (`_frozen_job`); `dropped` is as in
+    `_aging_kernel`. Returns a list of (dist, excluded) pairs, one per group.
     """
-    nu, chunk, targets, root, floor = _kernel_scales(params, t, s, step_cap, dropped)
-    ids = np.arange(replicas_per_group, dtype=np.uint64)
-    jobs = []
-    for g in range(groups):
-        grng = rng.substream(100 + g)
-        jobs.append((_landscapes(params, "rem", grng.substream(3), ids),
-                     grng.substream(1).generator(), grng.substream(2).generator(),
-                     params.N, nu, root, targets, step_cap, chunk, floor, True))
-    return [(dist, excluded) for dist, excluded, _ in _run_jobs(_aging_batch, jobs)]
+    scales = _kernel_scales(params, t, s, step_cap, dropped)
+    jobs = [(params, rng.substream(100 + g), replicas_per_group, step_cap, *scales)
+            for g in range(groups)]
+    return _run_jobs(_frozen_job, jobs, _aging_work(params, t + s, replicas_per_group * groups))
+
+
+def _frozen_job(params: ModelParams, grng: RngStream, replicas: int, step_cap: int,
+                nu: int, chunk: int, targets, root: float, floor: int):
+    """(dist, excluded) of one `_frozen_kernel` group: its keys from
+    substream 3 of the group's stream `grng`, its walk from substream 1 and
+    its waits from substream 2."""
+    keys = _landscapes(params, "rem", grng.substream(3), np.arange(replicas, dtype=np.uint64))
+    dist, excluded, _ = _aging_batch(
+        keys, grng.substream(1).generator(), grng.substream(2).generator(),
+        params.N, nu, root, targets, step_cap, chunk, floor, True,
+    )
+    return dist, excluded
 
 
 def _binomial(indicator_valid: np.ndarray) -> tuple[float, float]:

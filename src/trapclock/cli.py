@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .aging import aging_curve, estimate_aging
+from .aging import _aging_work, aging_curve, estimate_aging
 from .analysis import RateFunctionParams, upsilon, zeta
 from .blockprocess import block_scaling_constant
 from .clock import (
@@ -180,20 +179,6 @@ def _cmd_simulate_clock(args) -> None:
 
 
 # --------------------------------------------------------------- aging
-
-def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
-    # expected total microscopic steps across replicas (inverse stable mean)
-    if params.beta <= 0.0:
-        return replicas * horizon * math.exp(params.gamma * params.N)
-    alpha = params.alpha()
-    if not 0.0 < alpha < 1.0:
-        return float("inf")
-    try:
-        r1 = params.r_steps(1.0)
-    except OverflowError:
-        return float("inf")
-    return replicas * r1 * horizon**alpha / math.gamma(1.0 + alpha)
-
 
 def _cmd_aging(args) -> None:
     if (args.gamma is None) == (args.alpha is None):

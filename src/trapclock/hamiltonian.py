@@ -20,11 +20,22 @@ key and hashes the low word. For p-spin couplings the rows are unpacked into
 sign columns and contracted in row blocks: dense couplings contract the
 whole tensor, hashed couplings one first-index slab of N^{p-1} couplings at
 a time.
+
+The dense contractions are small matrix products, and numpy's OpenBLAS
+only adds thread start-up and contention to them. So a dense
+`trajectory_energies` call, and every p-spin aging kernel call, runs them
+with OpenBLAS on one thread (`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -35,6 +46,60 @@ _DENSE_MAX_ENTRIES = 16_000_000
 _DENSE_DEFAULT_MAX_N = 25
 # floats in one row block of a many-configuration contraction
 _FOLD_FLOATS = 1 << 16
+
+
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of the OpenBLAS that numpy wheels
+    ship (``libscipy_openblas64_`` in ``numpy.libs``), or None where numpy
+    ships none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# OpenBLAS's thread count is process-wide: the callers now inside
+# `_one_blas_thread` and the count the last of them restores
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_threads = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread and restore its
+    thread count after, also when the body raises; do nothing where that
+    library is not found (`_openblas`). The dense contractions are small,
+    and the aging kernel already runs one of them per worker, where a
+    threaded BLAS only adds contention. Concurrent callers share the cap:
+    the first one in sets it and the last one out restores the count the
+    first one found."""
+    global _blas_users, _blas_threads
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_threads = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_threads)
 
 
 class _Landscape:
@@ -175,8 +240,11 @@ class RemDisorder(_Landscape):
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
     """X(i) = H(Y(i)) along the trajectory, length k+1, in one pass over the
     word rows of the visited configurations: a hash per site for the REM, a
-    row-blocked contraction for p-spin couplings."""
+    row-blocked contraction for p-spin couplings, dense ones on one BLAS
+    thread (`_one_blas_thread`)."""
     if disorder.N != traj.N:
         raise ValueError("dimension mismatch")
-    return disorder.energy_of_words(traj.position_words())
+    dense = getattr(disorder, "mode", None) == "dense"
+    with _one_blas_thread() if dense else contextlib.nullcontext():
+        return disorder.energy_of_words(traj.position_words())
 

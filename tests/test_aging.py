@@ -2,16 +2,20 @@ import contextlib
 import hashlib
 import math
 import multiprocessing
+import operator
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from trapclock import aging
+from trapclock import aging, hamiltonian
 from trapclock.aging import (
     AgingEstimate,
     aging_curve,
@@ -453,6 +457,7 @@ def test_pspin_preset_evaluates_few_of_its_chunk_energies(monkeypatch):
         shapes.append(args[1].shape)
         return clock_series(*args)
 
+    _off_the_pool(monkeypatch)
     monkeypatch.setattr(PSpinDisorder, "energy_of_words", counting)
     monkeypatch.setattr(aging, "_clock_series", recording)
     estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin", rng=PSPIN.stream().substream(3))
@@ -469,6 +474,15 @@ def test_block_end_value_reads_the_last_listed_step_of_the_block():
     vals = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0], [6.0, 7.0, 8.0, 9.0]])
     rows, at = np.array([0, 0, 1, 2, 2]), np.array([0, 3, 0, 1, 3])
     assert aging._block_end_value(cols, vals, rows, at, 4).tolist() == [3.0, 4.0, 5.0, 9.0, 9.0]
+
+
+def _off_the_pool(monkeypatch):
+    # forked workers keep the module as it was at fork time, so a test that
+    # patches it must run its kernels on threads; this fails any pooled call
+    def no_pool(workers):
+        raise AssertionError("a patched kernel call reached the process pool")
+
+    monkeypatch.setattr(aging, "_process_pool", no_pool)
 
 
 def _pspin_kernel_bytes():
@@ -496,6 +510,7 @@ def test_pspin_kernel_runs_blas_on_one_thread(monkeypatch):
 
     try:
         put(2)
+        _off_the_pool(monkeypatch)
         monkeypatch.setattr(aging, "_aging_batch", recording)
         _pspin_kernel_bytes()
         assert seen and set(seen) == {1} and get() == 2
@@ -540,24 +555,27 @@ def test_concurrent_blas_caps_restore_the_first_count():
         put(threads)
 
 
-@pytest.mark.parametrize("name, stand_in", [
-    ("_one_blas_thread", contextlib.nullcontext), ("_openblas", lambda: None),
+@pytest.mark.parametrize("module, name, stand_in", [
+    (aging, "_one_blas_thread", contextlib.nullcontext), (hamiltonian, "_openblas", lambda: None),
 ], ids=["cap-off", "no-library"])
-def test_pspin_kernel_bytes_ignore_the_blas_cap(monkeypatch, name, stand_in):
+def test_pspin_kernel_bytes_ignore_the_blas_cap(monkeypatch, module, name, stand_in):
     want = _pspin_kernel_bytes()
-    monkeypatch.setattr(aging, name, stand_in)
+    _off_the_pool(monkeypatch)
+    monkeypatch.setattr(module, name, stand_in)
     assert _pspin_kernel_bytes() == want
 
 
 def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
     # 70 and 1000 REM replicas are 3 and 32 batches of up to 32, the last
     # one short; the starved cap (factor 0.05) ends batches in the cap
-    # clamp; 12 frozen groups; 70 p-spin replicas are three batches
+    # clamp; 12 frozen groups; 70 p-spin replicas are three batches. Each
+    # case runs inline, on threads and on the process pool
     caps = [aging._step_cap(PARAMS, 2.0, f) for f in (8.0, 0.05)]
     pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
-    for workers in (1, 2, 3):
+    for workers, pool_steps in [(1, math.inf), (2, math.inf), (3, math.inf), (2, 0), (3, 0)]:
         monkeypatch.setattr(aging, "_cpu_count", lambda w=workers: w)
+        monkeypatch.setattr(aging, "_POOL_STEPS", pool_steps)
         arrays = []
         for cap in caps:
             for replicas in (70, 1000):
@@ -568,7 +586,40 @@ def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
             PSPIN, 0.5, 0.5, 70, RngStream(41, 25), pspin_cap, "pspin"
         )
         runs.append([a.tobytes() for a in arrays])
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def _worker_blas_threads():
+    return hamiltonian._openblas()[0]()
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    # the pool's initializer caps each worker, whatever the parent's count
+    api = hamiltonian._openblas()
+    if api is None:
+        pytest.skip("numpy ships no scipy-openblas library here")
+    get, put = api
+    threads = get()
+    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    try:
+        put(2)
+        assert set(aging._run_jobs(_worker_blas_threads, [()] * 4, math.inf)) == {1}
+        assert get() == 2
+    finally:
+        put(threads)
+
+
+@pytest.mark.parametrize("fn, job, error", [
+    (operator.truediv, (1, 0), ZeroDivisionError), (os._exit, (3,), BrokenProcessPool),
+], ids=["job-raises", "worker-dies"])
+def test_pool_failure_reaches_the_caller(monkeypatch, fn, job, error):
+    # a job that raises, or a worker that dies, fails the call that ran it,
+    # and the next call runs on a working pool
+    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    with pytest.raises(error):
+        aging._run_jobs(fn, [job, job], math.inf)
+    pids = aging._run_jobs(os.getpid, [()] * 4, math.inf)
+    assert os.getpid() not in pids and len(set(pids)) <= 2
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -604,14 +655,95 @@ def test_chunks_keep_the_element_budget(monkeypatch, shared):
     assert cap <= sum(length for _, length in shapes) < cap + chunk
 
 
-def test_no_worker_outlives_a_call(monkeypatch):
+def test_aging_work_special_branches():
+    # beta = 0: walk time is the wall e^{gamma N} itself
+    beta0 = ModelParams(N=10, p=3, beta=0.0, gamma=0.5)
+    assert aging._aging_work(beta0, 2.0, 3) == 3 * 2.0 * math.exp(5.0)
+    # alpha = gamma / beta^2 >= 1 has no stable clock to predict from
+    assert aging._aging_work(ModelParams(N=10, p=3, beta=1.0, gamma=1.0), 2.0, 3) == math.inf
+    deep = ModelParams(N=64, p=3, beta=2.0, gamma=3.6)
+    with pytest.raises(OverflowError):
+        deep.r_steps(1.0)
+    assert aging._aging_work(deep, 2.0, 3) == math.inf
+
+
+class _Pooled(Exception):
+    """Raised by a stand-in for the process pool: the call was sent there."""
+
+
+def test_large_calls_go_to_the_pool_and_small_ones_to_threads(monkeypatch):
+    # the rem-aging benchmark's model; its smallest calls are 40 replicas at
+    # t + s = 1 + 1e-5, and the curve, frozen and range-miss calls are larger
+    rem = ModelParams(N=20, p=3, beta=2.0, gamma=2.0)
+
+    def pool(workers):
+        raise _Pooled
+
+    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(aging, "_process_pool", pool)
+    assert aging._aging_work(rem, 1.0 + 1e-5, 40) > 4.4e6
+    for call in (lambda: estimate_aging(rem, 1.0, 1e-5, 0.3, 40),
+                 lambda: aging_curve(rem, [0.2], 1.0, 0.3, 64),
+                 lambda: estimate_aging_frozen(rem, 1.0, 1.0, 0.3, 64, groups=2),
+                 lambda: estimate_range_miss(rem, 1.0, 1.0, 96)):
+        with pytest.raises(_Pooled):
+            call()
+    # the benchmark warm-ups, the N=10 p-spin call and the criterion-9 aging
+    # preset (the same model in REM mode) run on threads
+    for params, horizon, replicas in [(rem, 0.2, 8), (PSPIN, 0.1, 4), (PSPIN, 1.0, 300)]:
+        assert aging._aging_work(params, horizon, replicas) <= 4.0e5
+    warm = RngStream(3, 3)
+    estimate_aging(rem, 0.1, 0.1, 0.3, 8, rng=warm)
+    estimate_aging_frozen(rem, 0.1, 0.1, 0.3, 2, groups=2, rng=warm)
+    estimate_range_miss(rem, 0.1, 0.1, 8, rng=warm)
+    estimate_aging(PSPIN, 0.05, 0.05, 0.3, 4, mode="pspin", rng=warm)
+    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin")
+    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300)
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
+    # threads live for their call only; the pool's workers live on, the same
+    # ones for every pooled call, until the interpreter exits and joins them
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     before = threading.active_count()
-    estimate_aging(PARAMS, 1.0, 1.0, 0.3, 1100, rng=RngStream(41, 26))
+    estimate_aging(PARAMS, 1.0, 1.0, 0.3, 240, rng=RngStream(41, 26))
     assert threading.active_count() == before
     estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
     assert threading.active_count() == before
-    assert multiprocessing.active_children() == []
+
+    estimate_aging(PARAMS, 1.0, 1.0, 0.3, 1100, rng=RngStream(41, 26))
+    workers = _worker_pids()
+    assert 0 < len(workers) <= aging._cpu_count()
+    monkeypatch.setattr(aging, "_POOL_STEPS", 0)
+    estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
+    assert _worker_pids() == workers
+    assert set(aging._run_jobs(os.getpid, [()] * 8, math.inf)) <= workers
+
+    script = (
+        "import multiprocessing\n"
+        "from trapclock import aging\n"
+        "from trapclock.core import ModelParams, RngStream\n"
+        "aging._cpu_count = lambda: 2\n"
+        "aging._POOL_STEPS = 0\n"
+        "aging.estimate_aging(ModelParams(N=12, p=3, beta=2.0, gamma=2.0), 1.0, 1.0, 0.3, 96,\n"
+        "                     rng=RngStream(41, 26))\n"
+        "print(*(child.pid for child in multiprocessing.active_children()))\n"
+    )
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(aging.__file__)))
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr.decode()
+    pids = [int(pid) for pid in res.stdout.split()]
+    assert 0 < len(pids) <= 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_shared_walk_batch_matches_per_replica_for_one_replica():

@@ -7,7 +7,6 @@ import pytest
 
 from trapclock import aging
 from trapclock.cli import (
-    _aging_work,
     _csv,
     _step_rows,
     _write,
@@ -191,18 +190,6 @@ def test_aging_over_budget_writes_then_exits_3(tmp_path, capsys, monkeypatch):
     payload = json.loads((tmp_path / "aging.json").read_text())
     assert payload["excluded"] == 2 and payload["non_conclusive"]
     assert (tmp_path / "aging_config.json").exists()
-
-
-def test_aging_work_special_branches():
-    # beta = 0: walk time is the wall e^{gamma N} itself
-    beta0 = ModelParams(N=10, p=3, beta=0.0, gamma=0.5)
-    assert _aging_work(beta0, 2.0, 3) == 3 * 2.0 * math.exp(5.0)
-    # alpha = gamma / beta^2 >= 1 has no stable clock to predict from
-    assert _aging_work(ModelParams(N=10, p=3, beta=1.0, gamma=1.0), 2.0, 3) == math.inf
-    deep = ModelParams(N=64, p=3, beta=2.0, gamma=3.6)
-    with pytest.raises(OverflowError):
-        deep.r_steps(1.0)
-    assert _aging_work(deep, 2.0, 3) == math.inf
 
 
 def test_aging_refuses_infeasible_preset(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from trapclock import hamiltonian
 from trapclock.clock import (
     InsufficientStepsError,
     RescaledClock,
@@ -225,6 +227,37 @@ def test_simulate_clock_stream_contract(kind):
     assert energies2.tobytes() == energies.tobytes()
     with pytest.raises(TypeError, match="RngStream"):
         simulate_clock(dis, params, k, np.random.default_rng(12))
+
+
+def test_dense_simulate_clock_runs_blas_on_one_thread(monkeypatch):
+    # the dense contraction sees one OpenBLAS thread, the caller's count comes
+    # back after the call, and the bytes are those of an uncapped run
+    api = hamiltonian._openblas()
+    if api is None:
+        pytest.skip("numpy ships no scipy-openblas library here")
+    get, put = api
+    threads, seen = get(), []
+    evaluate = PSpinDisorder.energy_of_words
+
+    def recording(self, words):
+        seen.append(get())
+        return evaluate(self, words)
+
+    dis = PSpinDisorder(16, 3, RngStream(12, 1), mode="dense")
+
+    def run():
+        _, clock, energies = simulate_clock(dis, _params(), 5000, RngStream(12, 2))
+        return clock.log_values.tobytes() + energies.tobytes()
+
+    try:
+        put(2)
+        monkeypatch.setattr(PSpinDisorder, "energy_of_words", recording)
+        capped = run()
+        assert seen == [1] and get() == 2
+        monkeypatch.setattr(hamiltonian, "_one_blas_thread", contextlib.nullcontext)
+        assert run() == capped and seen == [1, 2]
+    finally:
+        put(threads)
 
 
 def test_clock_log_increments_round_trip():
