@@ -18,9 +18,8 @@ hash of `RemDisorder`, so revisits see the same trap depth without storing
 the visited set; p-spin energies come from each replica's dense couplings
 (`PSpinDisorder.energy_of_words`), in that evaluator's row blocks, and a
 row's energies stop once its clock is past the second target at a block
-boundary, since nothing after its second crossing is read. During a
-p-spin kernel call numpy's OpenBLAS runs on one thread, so each worker
-contracts alone (`hamiltonian._one_blas_thread`). On the scale
+boundary, since nothing after its second crossing is read. That evaluator
+runs OpenBLAS on one thread, so each worker contracts alone. On the scale
 e**(gamma*N) the clock is carried by deep traps, so the REM kernel hashes
 every visited site but gives a depth, an exponential weight and a wait only
 to sites at or above a level z0; shallower visits add nothing. z0 is set
@@ -39,15 +38,15 @@ walk per group, broadcast against the group's per-replica traps and waits.
 Replicas run in batches of 32; batches and frozen-chain groups each own
 their random streams and run on up to one worker per core, so the results
 depend on the batch size and the chunk length but not on the core count.
-The workers are threads for a call predicted to take under `_POOL_STEPS`
-walk steps (`_aging_work`), and the processes of one persistent pool,
-forked on first use, for larger calls (`_run_jobs`).
+The workers are threads for a REM call predicted to take under
+`_POOL_STEPS` walk steps (`_aging_work`), and the processes of one
+persistent pool, forked on first use, for larger REM calls and every
+p-spin call of two or more batches (`_run_jobs`).
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import math
 import numbers
 import os
@@ -61,7 +60,7 @@ import numpy as np
 from scipy.special import ndtri_exp
 
 from .core import ModelParams, RngStream, gaussian_from_bits, mix64_inplace
-from .hamiltonian import PSpinDisorder, _one_blas_thread, _openblas
+from .hamiltonian import PSpinDisorder
 from .stable import arcsine_cdf
 
 # fraction of replicas allowed to exhaust the step budget before the
@@ -173,41 +172,29 @@ _POOL_STEPS = 1e6
 # the worker processes (a ProcessPoolExecutor), forked on first use and
 # kept for later calls
 _pool = None
-_pool_workers = 0
 _pool_lock = threading.Lock()
 
 
-def _cap_worker_blas() -> None:
-    """Worker initializer: OpenBLAS on one thread for the worker's life."""
-    api = _openblas()
-    if api is not None:
-        api[1](1)
-
-
-def _process_pool(workers: int):
-    """The module's process pool with `workers` workers, started on first use
-    and started again when the count differs from the running pool's.
+def _process_pool():
+    """The module's process pool, one worker per core (`_cpu_count`), forked
+    on first use and again only after one of its workers died (`_drop_pool`).
 
     Workers are forked: fork needs no helper process and its workers start
-    at once, where a forkserver's first call took about 0.6 s. Each worker
-    runs OpenBLAS on one thread (`_cap_worker_blas`), and Python's exit
-    hook for `concurrent.futures` joins the workers when the interpreter
-    exits."""
+    at once, where a forkserver's first call took about 0.6 s. A worker's
+    p-spin contractions run OpenBLAS on one thread, as every caller's do
+    (`PSpinDisorder.energy_of_words`), and Python's exit hook for
+    `concurrent.futures` joins the workers when the interpreter exits."""
     # imported by the first pooled call, so that a process that never pools
     # does not carry the process machinery (about 0.5 MB)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    global _pool, _pool_workers
+    global _pool
     with _pool_lock:
-        if _pool is None or _pool_workers != workers:
-            if _pool is not None:
-                _pool.shutdown()
+        if _pool is None:
             _pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_cap_worker_blas,
+                _cpu_count(), mp_context=multiprocessing.get_context("fork")
             )
-            _pool_workers = workers
         return _pool
 
 
@@ -238,22 +225,24 @@ def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
     job, or a single core, runs inline. On Linux, a call whose predicted
     step work `work` (`_aging_work`) is at least `_POOL_STEPS` runs on the
     module's process pool (`_process_pool`): threads barely gain there,
-    since the chunks' `cumsum` and the walk's `bitwise_xor.accumulate` hold
-    the GIL. Smaller calls run on threads that live for the call only, so
-    they pay no process start-up. Pooled jobs and results are pickled: `fn`
-    is a module-level function and its arguments are stream handles and
-    scalars. The workers are forked once and keep every module as it was at
-    that moment: a module attribute changed later (a test's monkeypatch)
-    never reaches them, and one changed before the fork stays in them, so
-    code that patches must keep its calls off the pool. A failed job fails
-    the call and cancels its jobs not yet started; a dead worker breaks the
-    pool, and the next call forks a new one.
+    since numpy holds the GIL through a `cumsum` or `bitwise_xor.accumulate`
+    along the last axis of a 2-D array, as the chunks' clock and the walk
+    run them (over a flat array two threads do gain). Smaller calls run on
+    threads that live for the call only, so they pay no process start-up.
+    Pooled jobs and results are pickled: `fn` is a module-level function and
+    its arguments are stream handles and scalars. The workers are forked
+    once and keep every module as it was at that moment: a module attribute
+    changed later (a test's monkeypatch) never reaches them, and one changed
+    before the fork stays in them, so code that patches must keep its calls
+    off the pool. A failed job fails the call and cancels its jobs not yet
+    started; a dead worker breaks the pool, and the next call forks a new
+    one.
     """
     workers = min(_cpu_count(), len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs]
     if work >= _POOL_STEPS and sys.platform == "linux":
-        pool = _process_pool(_cpu_count())
+        pool = _process_pool()
         futures = []
         try:
             futures = [pool.submit(fn, *job) for job in jobs]
@@ -504,8 +493,10 @@ def _aging_kernel(
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
     jobs = [(params, mode, key_rng, batch_rng, lo, min(lo + _BATCH, replicas), step_cap, *scales)
             for lo in range(0, replicas, _BATCH)]
-    with _one_blas_thread() if mode == "pspin" else contextlib.nullcontext():
-        parts = _run_jobs(_aging_job, jobs, _aging_work(params, t + s, replicas))
+    # p-spin batches go to the pool, where each worker contracts alone:
+    # `_aging_work` counts steps and prices one contraction like a REM hash
+    work = math.inf if mode == "pspin" else _aging_work(params, t + s, replicas)
+    parts = _run_jobs(_aging_job, jobs, work)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 

@@ -21,10 +21,10 @@ sign columns and contracted in row blocks: dense couplings contract the
 whole tensor, hashed couplings one first-index slab of N^{p-1} couplings at
 a time.
 
-The dense contractions are small matrix products, and numpy's OpenBLAS
-only adds thread start-up and contention to them. So a dense
-`trajectory_energies` call, and every p-spin aging kernel call, runs them
-with OpenBLAS on one thread (`_one_blas_thread`).
+The contractions are small matrix products, and numpy's OpenBLAS only adds
+thread start-up and contention to them. So `PSpinDisorder.energy_of_words`
+runs them with OpenBLAS on one thread, dense or hashed, whoever calls it,
+and gives the caller's count back after (`_one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -77,11 +77,11 @@ _blas_threads = 1
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread and restore its
     thread count after, also when the body raises; do nothing where that
-    library is not found (`_openblas`). The dense contractions are small,
-    and the aging kernel already runs one of them per worker, where a
-    threaded BLAS only adds contention. Concurrent callers share the cap:
-    the first one in sets it and the last one out restores the count the
-    first one found."""
+    library is not found (`_openblas`). Its one caller is
+    `PSpinDisorder.energy_of_words`, whose contractions are small and run
+    one per worker in the aging kernel, where a threaded BLAS only adds
+    contention. Concurrent callers share the cap: the first one in sets it
+    and the last one out restores the count the first one found."""
     global _blas_users, _blas_threads
     api = _openblas()
     if api is None:
@@ -194,18 +194,19 @@ class PSpinDisorder(_Landscape):
         packed = words.astype("<u8", copy=False).view(np.uint8)
         out = np.empty(packed.shape[0])
         step = self.row_block
-        for lo in range(0, packed.shape[0], step):
-            bits = np.unpackbits(
-                packed[lo : lo + step], axis=1, count=self.N, bitorder="little"
-            )
-            signs = 1.0 - 2.0 * np.ascontiguousarray(bits.T)
-            if self.mode == "dense":
-                out[lo : lo + step] = self._fold(self.couplings, signs)
-            else:
-                out[lo : lo + step] = sum(
-                    signs[i] * self._fold(self._slab(i), signs)
-                    for i in range(self.N)
+        with _one_blas_thread():
+            for lo in range(0, packed.shape[0], step):
+                bits = np.unpackbits(
+                    packed[lo : lo + step], axis=1, count=self.N, bitorder="little"
                 )
+                signs = 1.0 - 2.0 * np.ascontiguousarray(bits.T)
+                if self.mode == "dense":
+                    out[lo : lo + step] = self._fold(self.couplings, signs)
+                else:
+                    out[lo : lo + step] = sum(
+                        signs[i] * self._fold(self._slab(i), signs)
+                        for i in range(self.N)
+                    )
         return self._norm * out
 
 
@@ -240,11 +241,9 @@ class RemDisorder(_Landscape):
 def trajectory_energies(disorder, traj: WalkTrajectory) -> np.ndarray:
     """X(i) = H(Y(i)) along the trajectory, length k+1, in one pass over the
     word rows of the visited configurations: a hash per site for the REM, a
-    row-blocked contraction for p-spin couplings, dense ones on one BLAS
-    thread (`_one_blas_thread`)."""
+    row-blocked contraction on one BLAS thread for p-spin couplings
+    (`PSpinDisorder.energy_of_words`)."""
     if disorder.N != traj.N:
         raise ValueError("dimension mismatch")
-    dense = getattr(disorder, "mode", None) == "dense"
-    with _one_blas_thread() if dense else contextlib.nullcontext():
-        return disorder.energy_of_words(traj.position_words())
+    return disorder.energy_of_words(traj.position_words())
 

@@ -457,7 +457,7 @@ def test_pspin_preset_evaluates_few_of_its_chunk_energies(monkeypatch):
         shapes.append(args[1].shape)
         return clock_series(*args)
 
-    _off_the_pool(monkeypatch)
+    _inline(monkeypatch)
     monkeypatch.setattr(PSpinDisorder, "energy_of_words", counting)
     monkeypatch.setattr(aging, "_clock_series", recording)
     estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin", rng=PSPIN.stream().substream(3))
@@ -479,10 +479,17 @@ def test_block_end_value_reads_the_last_listed_step_of_the_block():
 def _off_the_pool(monkeypatch):
     # forked workers keep the module as it was at fork time, so a test that
     # patches it must run its kernels on threads; this fails any pooled call
-    def no_pool(workers):
+    def no_pool():
         raise AssertionError("a patched kernel call reached the process pool")
 
     monkeypatch.setattr(aging, "_process_pool", no_pool)
+
+
+def _inline(monkeypatch):
+    # a p-spin call of two or more batches goes to the pool whatever its
+    # size; on one core it runs inline, where a patch reaches it
+    _off_the_pool(monkeypatch)
+    monkeypatch.setattr(aging, "_cpu_count", lambda: 1)
 
 
 def _pspin_kernel_bytes():
@@ -492,33 +499,35 @@ def _pspin_kernel_bytes():
 
 
 def test_pspin_kernel_runs_blas_on_one_thread(monkeypatch):
-    # p-spin jobs see one BLAS thread, REM jobs the caller's count, and the
-    # count comes back after the call, also after a job that raises
-    api = aging._openblas()
+    # the dense contractions of a p-spin kernel and the hashed ones of an
+    # evaluator call see one BLAS thread, and the caller's count comes back
+    # after the call, also after a contraction that raises
+    api = hamiltonian._openblas()
     if api is None:
         pytest.skip("numpy ships no scipy-openblas library here")
     get, put = api
     threads, seen = get(), []
-    batch = aging._aging_batch
+    fold = PSpinDisorder._fold
 
-    def recording(*args):
+    def recording(block, signs):
         seen.append(get())
-        return batch(*args)
+        return fold(block, signs)
 
-    def failing(*args):
-        raise RuntimeError("job failed")
+    def failing(block, signs):
+        raise RuntimeError("contraction failed")
 
+    hashed = PSpinDisorder(12, 3, RngStream(41, 40), "hashed")
     try:
         put(2)
-        _off_the_pool(monkeypatch)
-        monkeypatch.setattr(aging, "_aging_batch", recording)
+        _inline(monkeypatch)
+        monkeypatch.setattr(PSpinDisorder, "_fold", staticmethod(recording))
         _pspin_kernel_bytes()
         assert seen and set(seen) == {1} and get() == 2
         seen.clear()
-        aging._aging_kernel(PARAMS, 1, 1, 40, RngStream(41, 40), aging._step_cap(PARAMS, 2.0, 8.0))
-        assert seen and set(seen) == {2} and get() == 2
-        monkeypatch.setattr(aging, "_aging_batch", failing)
-        with pytest.raises(RuntimeError, match="job failed"):
+        hashed.energy_of_words(np.arange(40, dtype=np.uint64)[:, None])
+        assert len(seen) == 12 and set(seen) == {1} and get() == 2
+        monkeypatch.setattr(PSpinDisorder, "_fold", staticmethod(failing))
+        with pytest.raises(RuntimeError, match="contraction failed"):
             _pspin_kernel_bytes()
         assert get() == 2
     finally:
@@ -528,7 +537,7 @@ def test_pspin_kernel_runs_blas_on_one_thread(monkeypatch):
 def test_concurrent_blas_caps_restore_the_first_count():
     # threads entering and leaving the cap in any interleaving all see one
     # BLAS thread inside it, and the count found first comes back at the end
-    api = aging._openblas()
+    api = hamiltonian._openblas()
     if api is None:
         pytest.skip("numpy ships no scipy-openblas library here")
     get, put = api
@@ -536,7 +545,7 @@ def test_concurrent_blas_caps_restore_the_first_count():
 
     def enter_and_leave():
         for _ in range(200):
-            with aging._one_blas_thread():
+            with hamiltonian._one_blas_thread():
                 seen.append(get())
 
     interval = sys.getswitchinterval()
@@ -555,13 +564,13 @@ def test_concurrent_blas_caps_restore_the_first_count():
         put(threads)
 
 
-@pytest.mark.parametrize("module, name, stand_in", [
-    (aging, "_one_blas_thread", contextlib.nullcontext), (hamiltonian, "_openblas", lambda: None),
+@pytest.mark.parametrize("name, stand_in", [
+    ("_one_blas_thread", contextlib.nullcontext), ("_openblas", lambda: None),
 ], ids=["cap-off", "no-library"])
-def test_pspin_kernel_bytes_ignore_the_blas_cap(monkeypatch, module, name, stand_in):
+def test_pspin_kernel_bytes_ignore_the_blas_cap(monkeypatch, name, stand_in):
     want = _pspin_kernel_bytes()
-    _off_the_pool(monkeypatch)
-    monkeypatch.setattr(module, name, stand_in)
+    _inline(monkeypatch)
+    monkeypatch.setattr(hamiltonian, name, stand_in)
     assert _pspin_kernel_bytes() == want
 
 
@@ -569,7 +578,8 @@ def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
     # 70 and 1000 REM replicas are 3 and 32 batches of up to 32, the last
     # one short; the starved cap (factor 0.05) ends batches in the cap
     # clamp; 12 frozen groups; 70 p-spin replicas are three batches. Each
-    # case runs inline, on threads and on the process pool
+    # REM case runs inline, on threads and on the process pool, the p-spin
+    # one inline and on the pool
     caps = [aging._step_cap(PARAMS, 2.0, f) for f in (8.0, 0.05)]
     pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
@@ -589,12 +599,29 @@ def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
     assert all(run == runs[0] for run in runs[1:])
 
 
-def _worker_blas_threads():
-    return hamiltonian._openblas()[0]()
+def _pooled_fold_threads():
+    # a pool job: its process, the BLAS thread counts a dense contraction
+    # sees inside `_fold`, and the worker's count before and after it
+    get, fold, seen = hamiltonian._openblas()[0], vars(PSpinDisorder)["_fold"], []
+
+    def recording(block, signs):
+        seen.append(get())
+        return fold.__func__(block, signs)
+
+    before = get()
+    PSpinDisorder._fold = staticmethod(recording)
+    try:
+        PSpinDisorder(10, 3, RngStream(41, 42), "dense").energy_of_words(
+            np.arange(8, dtype=np.uint64)[:, None]
+        )
+    finally:
+        PSpinDisorder._fold = fold
+    return os.getpid(), seen, before, get()
 
 
 def test_pool_workers_run_blas_on_one_thread(monkeypatch):
-    # the pool's initializer caps each worker, whatever the parent's count
+    # a worker's contraction caps BLAS as the parent's does, whatever count
+    # the worker was forked with, and gives that count back after
     api = hamiltonian._openblas()
     if api is None:
         pytest.skip("numpy ships no scipy-openblas library here")
@@ -603,7 +630,8 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     try:
         put(2)
-        assert set(aging._run_jobs(_worker_blas_threads, [()] * 4, math.inf)) == {1}
+        for pid, seen, before, after in aging._run_jobs(_pooled_fold_threads, [()] * 4, math.inf):
+            assert pid != os.getpid() and seen == [1] and after == before
         assert get() == 2
     finally:
         put(threads)
@@ -614,12 +642,14 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
 ], ids=["job-raises", "worker-dies"])
 def test_pool_failure_reaches_the_caller(monkeypatch, fn, job, error):
     # a job that raises, or a worker that dies, fails the call that ran it,
-    # and the next call runs on a working pool
+    # and the next call runs on a working pool; an earlier call may have
+    # forked the pool with the host's core count
+    cores = aging._cpu_count()
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     with pytest.raises(error):
         aging._run_jobs(fn, [job, job], math.inf)
     pids = aging._run_jobs(os.getpid, [()] * 4, math.inf)
-    assert os.getpid() not in pids and len(set(pids)) <= 2
+    assert os.getpid() not in pids and len(set(pids)) <= max(cores, 2)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -671,13 +701,20 @@ class _Pooled(Exception):
     """Raised by a stand-in for the process pool: the call was sent there."""
 
 
+class _Threaded(Exception):
+    """Raised by a stand-in for the thread pool: the call was sent there."""
+
+
 def test_large_calls_go_to_the_pool_and_small_ones_to_threads(monkeypatch):
     # the rem-aging benchmark's model; its smallest calls are 40 replicas at
     # t + s = 1 + 1e-5, and the curve, frozen and range-miss calls are larger
     rem = ModelParams(N=20, p=3, beta=2.0, gamma=2.0)
 
-    def pool(workers):
+    def pool():
         raise _Pooled
+
+    def threads(max_workers):
+        raise _Threaded
 
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     monkeypatch.setattr(aging, "_process_pool", pool)
@@ -688,17 +725,24 @@ def test_large_calls_go_to_the_pool_and_small_ones_to_threads(monkeypatch):
                  lambda: estimate_range_miss(rem, 1.0, 1.0, 96)):
         with pytest.raises(_Pooled):
             call()
-    # the benchmark warm-ups, the N=10 p-spin call and the criterion-9 aging
-    # preset (the same model in REM mode) run on threads
-    for params, horizon, replicas in [(rem, 0.2, 8), (PSPIN, 0.1, 4), (PSPIN, 1.0, 300)]:
+    # a p-spin call of two or more batches goes there whatever its
+    # predicted work: the N=10 preset's 300 replicas, and 70
+    for replicas in (300, 70):
+        with pytest.raises(_Pooled):
+            estimate_aging(PSPIN, 0.5, 0.5, 0.3, replicas, mode="pspin")
+    # the REM warm-ups stay off the pool; the criterion-9 aging preset (the
+    # N=10 model in REM mode) runs on threads, the one-batch p-spin warm-up
+    # inline
+    for params, horizon, replicas in [(rem, 0.2, 8), (PSPIN, 1.0, 300)]:
         assert aging._aging_work(params, horizon, replicas) <= 4.0e5
     warm = RngStream(3, 3)
     estimate_aging(rem, 0.1, 0.1, 0.3, 8, rng=warm)
     estimate_aging_frozen(rem, 0.1, 0.1, 0.3, 2, groups=2, rng=warm)
     estimate_range_miss(rem, 0.1, 0.1, 8, rng=warm)
+    monkeypatch.setattr(aging, "ThreadPoolExecutor", threads)
     estimate_aging(PSPIN, 0.05, 0.05, 0.3, 4, mode="pspin", rng=warm)
-    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin")
-    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300)
+    with pytest.raises(_Threaded):
+        estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300)
 
 
 def _worker_pids() -> set[int]:
@@ -707,7 +751,9 @@ def _worker_pids() -> set[int]:
 
 def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
     # threads live for their call only; the pool's workers live on, the same
-    # ones for every pooled call, until the interpreter exits and joins them
+    # ones for every pooled call, until the interpreter exits and joins them;
+    # an earlier call may have forked the pool with the host's core count
+    cores = aging._cpu_count()
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     before = threading.active_count()
     estimate_aging(PARAMS, 1.0, 1.0, 0.3, 240, rng=RngStream(41, 26))
@@ -717,7 +763,7 @@ def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
 
     estimate_aging(PARAMS, 1.0, 1.0, 0.3, 1100, rng=RngStream(41, 26))
     workers = _worker_pids()
-    assert 0 < len(workers) <= aging._cpu_count()
+    assert 0 < len(workers) <= max(cores, 2)
     monkeypatch.setattr(aging, "_POOL_STEPS", 0)
     estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
     assert _worker_pids() == workers
