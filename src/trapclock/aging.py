@@ -36,12 +36,12 @@ element budget, so its survivors run longer chunks, not more of them. The
 frozen-chain estimator runs the same batch code in shared-walk mode: one
 walk per group, broadcast against the group's per-replica traps and waits.
 Replicas run in batches of 32; batches and frozen-chain groups each own
-their random streams and run on up to one worker per core, so the results
-depend on the batch size and the chunk length but not on the core count.
-The workers are threads for a REM call predicted to take under
-`_POOL_STEPS` walk steps (`_aging_work`), and the processes of one
-persistent pool, forked on first use, for larger REM calls and every
-p-spin call of two or more batches (`_run_jobs`).
+their random streams, so the results depend on the batch size and the
+chunk length but not on where the batches run. A REM call predicted to
+take under `_POOL_STEPS` walk steps (`_aging_work`) runs them inline, one
+after another; larger REM calls and every p-spin call of two or more
+batches run them on the processes of one persistent pool, one per core,
+forked on first use (`_run_jobs`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numbers
 import os
 import sys
 import threading
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,7 +157,7 @@ def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
 
 
 def _cpu_count() -> int:
-    """Cores this process may run on: the size of the batch worker pools."""
+    """Cores this process may run on: the size of the process pool."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
@@ -165,7 +165,7 @@ def _cpu_count() -> int:
 
 
 # predicted step work (`_aging_work`) from which a call runs on the worker
-# processes; smaller calls, such as the CLI presets, run on threads, since
+# processes; smaller calls, such as the CLI presets, run inline, since
 # forking the pool (about 20 ms) and pickling jobs cost more than they save
 _POOL_STEPS = 1e6
 
@@ -218,45 +218,37 @@ def _close_pool() -> None:
 
 
 def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
-    """[fn(*job) for job in jobs], on up to one worker per core.
+    """[fn(*job) for job in jobs], inline or on the process pool.
 
-    Every job owns its random streams, so neither the worker count, the kind
-    of worker nor the order in which jobs finish changes a result. A single
-    job, or a single core, runs inline. On Linux, a call whose predicted
-    step work `work` (`_aging_work`) is at least `_POOL_STEPS` runs on the
-    module's process pool (`_process_pool`): threads barely gain there,
-    since numpy holds the GIL through a `cumsum` or `bitwise_xor.accumulate`
-    along the last axis of a 2-D array, as the chunks' clock and the walk
-    run them (over a flat array two threads do gain). Smaller calls run on
-    threads that live for the call only, so they pay no process start-up.
-    Pooled jobs and results are pickled: `fn` is a module-level function and
-    its arguments are stream handles and scalars. The workers are forked
-    once and keep every module as it was at that moment: a module attribute
-    changed later (a test's monkeypatch) never reaches them, and one changed
-    before the fork stays in them, so code that patches must keep its calls
-    off the pool. A failed job fails the call and cancels its jobs not yet
-    started; a dead worker breaks the pool, and the next call forks a new
-    one.
+    Every job owns its random streams, so neither where the jobs run nor the
+    order in which they finish changes a result. The jobs run inline, one
+    after another, when there is one job or one core, when the predicted
+    step work `work` (`_aging_work`) is under `_POOL_STEPS`, or off Linux.
+    Otherwise they run on the module's process pool (`_process_pool`), up to
+    one job per core at a time. Pooled jobs and results are pickled: `fn` is
+    a module-level function and its arguments are stream handles and
+    scalars. The workers are forked once and keep every module as it was at
+    that moment: a module attribute changed later (a test's monkeypatch)
+    never reaches them, and one changed before the fork stays in them, so
+    code that patches must keep its calls off the pool. A failed job fails
+    the call and cancels its jobs not yet started; a dead worker breaks the
+    pool, and the next call forks a new one.
     """
-    workers = min(_cpu_count(), len(jobs))
-    if workers <= 1:
+    if (min(_cpu_count(), len(jobs)) <= 1 or work < _POOL_STEPS
+            or sys.platform != "linux"):
         return [fn(*job) for job in jobs]
-    if work >= _POOL_STEPS and sys.platform == "linux":
-        pool = _process_pool()
-        futures = []
-        try:
-            futures = [pool.submit(fn, *job) for job in jobs]
-            return [f.result() for f in futures]
-        except BrokenExecutor:  # a worker died: the pool is broken
-            _drop_pool(pool)
-            raise
-        finally:
-            # after a failed job, the others need not run
-            for f in futures:
-                f.cancel()
-    with ThreadPoolExecutor(max_workers=workers) as threads:
-        futures = [threads.submit(fn, *job) for job in jobs]
+    pool = _process_pool()
+    futures = []
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
+    except BrokenExecutor:  # a worker died: the pool is broken
+        _drop_pool(pool)
+        raise
+    finally:
+        # after a failed job, the others need not run
+        for f in futures:
+            f.cancel()
 
 
 def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
@@ -468,13 +460,13 @@ def _aging_kernel(
     `RemDisorder` or (mode "pspin") the dense `PSpinDisorder` of that
     stream. Replicas run in batches of ``_BATCH`` (32), each built inside
     its job (`_aging_job`) with its own generator keyed by its first
-    replica; free workers, up to one per core, take the next batch. A batch
-    draws its flips and waits from that one generator, flips first in every
-    chunk, and its chunks keep a fixed element budget (`_chunk_length`). So
-    the results depend on ``_BATCH`` and the chunk length but not on the
-    worker count or kind (`_run_jobs`). REM visits below the deep level of
-    `dropped` add nothing to the clock (`_deep_level`); ``dropped=0`` is the
-    exact kernel.
+    replica; the batches run inline or on the process pool (`_run_jobs`). A
+    batch draws its flips and waits from that one generator, flips first in
+    every chunk, and its chunks keep a fixed element budget
+    (`_chunk_length`). So the results depend on ``_BATCH`` and the chunk
+    length but not on where or in what order the batches run. REM visits
+    below the deep level of `dropped` add nothing to the clock
+    (`_deep_level`); ``dropped=0`` is the exact kernel.
 
     Returns (dist, excluded, vstar), one entry per replica, as in
     `_aging_batch`: the crossing distance (-1 where the step cap came
@@ -493,8 +485,9 @@ def _aging_kernel(
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
     jobs = [(params, mode, key_rng, batch_rng, lo, min(lo + _BATCH, replicas), step_cap, *scales)
             for lo in range(0, replicas, _BATCH)]
-    # p-spin batches go to the pool, where each worker contracts alone:
-    # `_aging_work` counts steps and prices one contraction like a REM hash
+    # p-spin batches go to the pool: `_aging_work` prices a step like a REM
+    # hash, far below a contraction (N=10, 300 replicas: about 50 ms on
+    # two cores' pool, 90 ms inline)
     work = math.inf if mode == "pspin" else _aging_work(params, t + s, replicas)
     parts = _run_jobs(_aging_job, jobs, work)
     return tuple(np.concatenate(col) for col in zip(*parts))
@@ -663,7 +656,8 @@ def _frozen_kernel(
     walk drawn from substream 1 of the group's stream, while the traps
     (keys from substream 3) and the exponential marks (substream 2) are
     per replica. Finished replicas retire, as in the aging kernel. Groups
-    run on up to one worker per core (`_frozen_job`); `dropped` is as in
+    run inline or on the process pool (`_frozen_job`, `_run_jobs`);
+    `dropped` is as in
     `_aging_kernel`. Returns a list of (dist, excluded) pairs, one per group.
     """
     scales = _kernel_scales(params, t, s, step_cap, dropped)

@@ -231,6 +231,8 @@ def _cmd_aging(args) -> None:
 # --------------------------------------------------------- subordinator
 
 def _cmd_subordinator(args) -> None:
+    if not args.horizon >= 0.0:
+        raise CliError("--horizon must be >= 0 (0 means t+s+1)")
     rng = RngStream(args.seed, 77)
     horizon = args.horizon if args.horizon > 0 else args.t + args.s + 1.0
     grid = np.linspace(0.0, horizon, args.grid_points)
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replicas", type=int, default=20000)
     sp.add_argument("--grid-points", type=int, default=201)
     sp.add_argument("--horizon", type=float, default=0.0,
-                    help="path horizon; 0 means t+s+1")
+                    help="path horizon, >= 0; 0 means t+s+1")
     _add_common(sp)
     sp.set_defaults(func=_cmd_subordinator)
 

@@ -124,15 +124,18 @@ class RescaledClock:
 
     def step_index(self, t):
         arr = np.asarray(t, dtype=np.float64)
+        if np.any(np.isnan(arr)):
+            raise ValueError("t must not be NaN")
         if np.any(arr < 0):
             raise ValueError("t must be >= 0")
-        k = np.floor(arr * self._rate()).astype(np.int64)
-        k = self.block * (k // self.block)
+        # floored in float64, so an infinite or huge t is refused before the
+        # cast to int64
+        k = self.block * np.floor(np.floor(arr * self._rate()) / self.block)
         if np.any(k > self.clock.steps):
             raise InsufficientStepsError(
-                f"query needs step {int(np.max(k))} but clock has {self.clock.steps}"
+                f"query needs step {np.max(k):.0f} but clock has {self.clock.steps}"
             )
-        return k
+        return k.astype(np.int64)
 
     def value_at(self, t):
         k = self.step_index(t)

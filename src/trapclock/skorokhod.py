@@ -65,7 +65,7 @@ class CadlagStepPath:
 
     def value_at(self, t):
         arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 0) or np.any(arr > self.T):
+        if not np.all((arr >= 0) & (arr <= self.T)):
             raise ValueError("evaluation point outside [0, T]")
         idx = np.searchsorted(self.jump_times, arr, side="right")
         out = self.levels()[idx]

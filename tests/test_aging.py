@@ -478,7 +478,7 @@ def test_block_end_value_reads_the_last_listed_step_of_the_block():
 
 def _off_the_pool(monkeypatch):
     # forked workers keep the module as it was at fork time, so a test that
-    # patches it must run its kernels on threads; this fails any pooled call
+    # patches it must run its kernels inline; this fails any pooled call
     def no_pool():
         raise AssertionError("a patched kernel call reached the process pool")
 
@@ -578,12 +578,11 @@ def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
     # 70 and 1000 REM replicas are 3 and 32 batches of up to 32, the last
     # one short; the starved cap (factor 0.05) ends batches in the cap
     # clamp; 12 frozen groups; 70 p-spin replicas are three batches. Each
-    # REM case runs inline, on threads and on the process pool, the p-spin
-    # one inline and on the pool
+    # case runs inline, and on the process pool at 2 and 3 workers
     caps = [aging._step_cap(PARAMS, 2.0, f) for f in (8.0, 0.05)]
     pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
-    for workers, pool_steps in [(1, math.inf), (2, math.inf), (3, math.inf), (2, 0), (3, 0)]:
+    for workers, pool_steps in [(1, math.inf), (2, 0), (3, 0)]:
         monkeypatch.setattr(aging, "_cpu_count", lambda w=workers: w)
         monkeypatch.setattr(aging, "_POOL_STEPS", pool_steps)
         arrays = []
@@ -701,20 +700,21 @@ class _Pooled(Exception):
     """Raised by a stand-in for the process pool: the call was sent there."""
 
 
-class _Threaded(Exception):
-    """Raised by a stand-in for the thread pool: the call was sent there."""
+def _no_threads(monkeypatch):
+    # inline calls start no thread; this fails any that does
+    def start(thread):
+        raise AssertionError("an inline call started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
 
 
-def test_large_calls_go_to_the_pool_and_small_ones_to_threads(monkeypatch):
+def test_large_calls_go_to_the_pool_and_small_ones_inline(monkeypatch):
     # the rem-aging benchmark's model; its smallest calls are 40 replicas at
     # t + s = 1 + 1e-5, and the curve, frozen and range-miss calls are larger
     rem = ModelParams(N=20, p=3, beta=2.0, gamma=2.0)
 
     def pool():
         raise _Pooled
-
-    def threads(max_workers):
-        raise _Threaded
 
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     monkeypatch.setattr(aging, "_process_pool", pool)
@@ -730,19 +730,38 @@ def test_large_calls_go_to_the_pool_and_small_ones_to_threads(monkeypatch):
     for replicas in (300, 70):
         with pytest.raises(_Pooled):
             estimate_aging(PSPIN, 0.5, 0.5, 0.3, replicas, mode="pspin")
-    # the REM warm-ups stay off the pool; the criterion-9 aging preset (the
-    # N=10 model in REM mode) runs on threads, the one-batch p-spin warm-up
-    # inline
+    # the REM warm-ups, the one-batch p-spin warm-up and the criterion-9
+    # aging preset (the N=10 model in REM mode) run inline: they reach no
+    # pool and start no thread
     for params, horizon, replicas in [(rem, 0.2, 8), (PSPIN, 1.0, 300)]:
         assert aging._aging_work(params, horizon, replicas) <= 4.0e5
+    _no_threads(monkeypatch)
+    before = threading.active_count()
     warm = RngStream(3, 3)
     estimate_aging(rem, 0.1, 0.1, 0.3, 8, rng=warm)
     estimate_aging_frozen(rem, 0.1, 0.1, 0.3, 2, groups=2, rng=warm)
     estimate_range_miss(rem, 0.1, 0.1, 8, rng=warm)
-    monkeypatch.setattr(aging, "ThreadPoolExecutor", threads)
     estimate_aging(PSPIN, 0.05, 0.05, 0.3, 4, mode="pspin", rng=warm)
-    with pytest.raises(_Threaded):
-        estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300)
+    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300)
+    assert threading.active_count() == before
+
+
+def test_large_calls_run_inline_off_linux(monkeypatch):
+    # the pool is forked, so only Linux uses it: elsewhere a call predicted
+    # above `_POOL_STEPS` runs inline, and gives the bytes it gives pooled
+    replicas, cap = 480, aging._step_cap(PARAMS, 2.0, 8.0)
+    assert aging._aging_work(PARAMS, 2.0, replicas) > aging._POOL_STEPS
+
+    def kernel_bytes():
+        return [a.tobytes() for a in aging._aging_kernel(
+            PARAMS, 1.0, 1.0, replicas, RngStream(41, 29), cap)]
+
+    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    pooled = kernel_bytes()
+    monkeypatch.setattr(aging.sys, "platform", "darwin")
+    _off_the_pool(monkeypatch)
+    _no_threads(monkeypatch)
+    assert kernel_bytes() == pooled
 
 
 def _worker_pids() -> set[int]:
@@ -750,9 +769,9 @@ def _worker_pids() -> set[int]:
 
 
 def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
-    # threads live for their call only; the pool's workers live on, the same
-    # ones for every pooled call, until the interpreter exits and joins them;
-    # an earlier call may have forked the pool with the host's core count
+    # small calls start no thread; the pool's workers live on, the same ones
+    # for every pooled call, until the interpreter exits and joins them; an
+    # earlier call may have forked the pool with the host's core count
     cores = aging._cpu_count()
     monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
     before = threading.active_count()

@@ -337,6 +337,18 @@ def test_subordinator_outputs(tmp_path):
     assert abs(payload["estimate"] - 0.5) < 6 * payload["stderr"]
 
 
+def test_subordinator_refuses_a_negative_horizon(tmp_path, capsys):
+    # 0 keeps its meaning, t+s+1; a negative horizon is refused, not run
+    # at t+s+1 under a config that records it
+    base = ["subordinator", "--alpha", "0.5", "--replicas", "200", "--grid-points", "11"]
+    assert main(base + ["--horizon", "-5", "--out", str(tmp_path / "o")]) == 2
+    assert "--horizon" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(base + ["--horizon", "0", "--out", str(tmp_path)]) == 0
+    last = (tmp_path / "subordinator_path.csv").read_text().strip().splitlines()[-1]
+    assert float(last.split(",")[0]) == 3.0
+
+
 def test_skorokhod_demo(tmp_path):
     rc = main(["skorokhod-demo", "--n", "8", "--out", str(tmp_path)])
     assert rc == 0

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,3 +308,34 @@ _SHORT = clock_from_log_increments(np.zeros(5))
 def test_clock_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("block", [1, 5], ids=["plain", "coarse"])
+def test_clock_views_refuse_nan_and_infinite_times(block):
+    # on a 16-spin REM clock: NaN is no time, and an infinite or huge time
+    # needs more steps than any clock holds; neither reaches the int64 cast
+    params = _params()
+    _, clock, _ = simulate_clock(RemDisorder(16, RngStream(1, 1)), params, 2000, RngStream(1, 2))
+    view = RescaledClock(clock, params, block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError, match="t must not be NaN"):
+                view.value_at(t)
+        with pytest.raises(InsufficientStepsError, match="needs step inf but clock has 2000"):
+            view.value_at(math.inf)
+        for t in (1e300, np.array([0.5, math.inf])):
+            with pytest.raises(InsufficientStepsError, match="but clock has 2000"):
+                view.value_at(t)
+
+
+def test_coarse_view_reads_up_to_the_last_whole_block():
+    # nu = 5: a time that floors to a step past the clock's last one still
+    # reads the last block boundary the clock holds, and the next block's
+    # first step is refused
+    params = _params()
+    view = RescaledClock(clock_from_log_increments(np.zeros(12)), params, 5)
+    rate = math.exp(params.log_r1())
+    assert view.step_index(np.array([4.5, 12.5, 14.5]) / rate).tolist() == [0, 10, 10]
+    with pytest.raises(InsufficientStepsError, match="query needs step 15 but clock has 12"):
+        view.step_index(15.5 / rate)

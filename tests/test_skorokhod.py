@@ -99,6 +99,10 @@ def test_path_validation():
         CadlagStepPath(1.0, 0.0, np.array([0.5, 0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         SINGLE.value_at(2.5)
+    # NaN is no point of [0, T]: refused, not read as the last level
+    for t in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match=r"outside \[0, T\]"):
+            SINGLE.value_at(t)
 
 
 # ---------------------------------------------------------------------------
