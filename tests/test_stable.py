@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,30 @@ def test_subordinator_laplace_contract(lam, t):
     probe = np.exp(-lam * vals)
     se = probe.std(ddof=1) / math.sqrt(n)
     assert abs(probe.mean() - math.exp(-K * t * lam**alpha)) < 4 * se
+
+
+@pytest.mark.parametrize("alpha, digest", [
+    (0.3, "76831008cc04c135ec639297926ad35ecc363c5f83fe2c9dbc6a412abef2aa90"),
+    (0.5, "29218e92727998c7121f3137e3b7ffc442437d51df3688be384070801e2f322f"),
+    (0.8, "3dd1beeb5644be811720a2d12807f79a65ce51bc8539555a4ee64d026cf24df6"),
+], ids=["a0.3", "a0.5", "a0.8"])
+def test_subordinator_stream_is_pinned(alpha, digest):
+    # SHA-256 of 500 paths on criterion 6's 4-point grid from one generator;
+    # a change that alters the subordinator stream on purpose updates it
+    grid = np.array([0.0, 0.5, 1.0, 2.0])
+    gen = RngStream(65, int(10 * alpha)).generator()
+    h = hashlib.sha256()
+    for _ in range(500):
+        path = sample_subordinator(alpha, 1.0, grid, gen)
+        h.update(path.grid.tobytes() + path.values.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_subordinator_fine_grid_is_pinned():
+    path = sample_subordinator(0.5, 2.0, np.linspace(0.0, 3.0, 101), RngStream(65, 3))
+    assert hashlib.sha256(path.grid.tobytes() + path.values.tobytes()).hexdigest() == (
+        "86f2bf4579a3e3d39978328a026159b53e7f3eebc1e6b462d924b27ac8735463"
+    )
 
 
 def test_arcsine_cdf_endpoints_and_symmetry():
