@@ -34,9 +34,9 @@ class SubordinatorPath:
     K: float
 
     def __post_init__(self):
-        if (np.diff(self.grid) <= 0).any():
+        if (self.grid[1:] <= self.grid[:-1]).any():
             raise ValueError("grid must be strictly increasing")
-        if (np.diff(self.values) < 0).any():
+        if (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must be nondecreasing")
 
 
@@ -74,11 +74,13 @@ def sample_subordinator(alpha: float, K: float, grid, rng) -> SubordinatorPath:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    dts = np.diff(np.concatenate(([0.0], grid)))
-    if grid[0] < 0 or (dts[1:] <= 0).any():
+    if grid[0] < 0 or (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be nonnegative and strictly increasing")
     if K == 0.0:
         return SubordinatorPath(grid, np.zeros_like(grid), alpha, K)
+    dts = np.empty_like(grid)
+    dts[0] = grid[0]
+    np.subtract(grid[1:], grid[:-1], out=dts[1:])
     draws = sample_one_sided_stable(alpha, grid.size, rng)
     increments = (K * dts) ** (1.0 / alpha) * draws
     return SubordinatorPath(grid, np.cumsum(increments), alpha, K)
