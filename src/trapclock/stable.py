@@ -10,9 +10,11 @@ The range-miss estimator answers: does the closure of {V(u)} intersect the
 window (t, t+s)? Since V is increasing, that reduces to the value at first
 passage above t, which is located by forward simulation in fixed time
 steps: 5e-3 t^alpha/K while the path is below 0.9 t, 5e-4 t^alpha/K from
-0.9 t upward. The residual discretization bias is one-sided (toward
-over-reporting misses) and of the order of the coarse step, well under the
-Monte Carlo error.
+0.9 t upward. Each pass draws a block of steps for every live replica (one
+step while many are live, more as they retire), and a replica stops at its
+first grid value above t. The residual discretization bias is one-sided
+(toward over-reporting misses) and of the order of the coarse step, well
+under the Monte Carlo error.
 """
 
 from __future__ import annotations
@@ -107,6 +109,39 @@ def arcsine_cdf(alpha: float, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# draws per first-passage pass, spread over the live replicas: a pass takes
+# one step per replica while at least this many are live, and a block of
+# steps per replica once fewer are (cf. `aging._chunk_length`)
+_PASSAGE_ELEMENTS = 1 << 14
+
+
+def _passage_block(v, draws, scale_c, scale_f, switch) -> np.ndarray:
+    """Path values after each step of a block, steps along axis 0 and
+    replicas along axis 1, from the values `v` before the block.
+
+    A step adds its draw times `scale_c` while the value before it is below
+    `switch` and times `scale_f` from then on. Each column is summed in step
+    order, as a per-step loop adds them; a path that passes `switch` inside
+    the block is summed again with fine steps from the step after, starting
+    from its value there, so a large coarse jump cannot swamp the fine ones.
+    """
+    coarse = v < switch
+    path = draws * np.where(coarse, scale_c, scale_f)
+    path[0] += v
+    if len(path) > 1:
+        np.cumsum(path, axis=0, out=path)
+        # paths only rise: a coarse path owes fine steps iff its value
+        # before the last step is at or above switch
+        turn = np.flatnonzero(coarse & (path[-2] >= switch))
+        if turn.size:
+            n_coarse = (path[:, turn] < switch).sum(axis=0) + 1
+            step = np.arange(len(path))[:, None]
+            part = draws[:, turn] * np.where(step < n_coarse, scale_c, scale_f)
+            part[0] += v[turn]
+            path[:, turn] = np.cumsum(part, axis=0, out=part)
+    return path
+
+
 def first_passage_values(
     alpha: float,
     K: float,
@@ -117,9 +152,10 @@ def first_passage_values(
     """V at the first grid point where the path exceeds level t, per replica.
 
     Forward simulation in time steps of 5e-3 t^alpha/K while the path sits
-    below 0.9 t and of 5e-4 t^alpha/K from 0.9 t upward. All window queries
-    at this level t (any s) can be answered from the returned values, and
-    coupling across s is pathwise exact.
+    below 0.9 t and of 5e-4 t^alpha/K from 0.9 t upward, advanced in blocks
+    of steps per pass (`_passage_block`). All window queries at this level
+    t (any s) can be answered from the returned values, and coupling across
+    s is pathwise exact.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -135,19 +171,24 @@ def first_passage_values(
     pos = np.arange(replicas)
     scale_c = (K * dt_coarse) ** (1.0 / alpha)
     scale_f = (K * dt_fine) ** (1.0 / alpha)
-    max_iter = int(50 * base / dt_fine) + 1000
-    for _ in range(max_iter):
-        if pos.size == 0:
-            return out
-        scale = np.where(v < t - margin, scale_c, scale_f)
-        v = v + scale * sample_one_sided_stable(alpha, pos.size, gen)
-        done = v > t
+    steps_left = int(50 * base / dt_fine) + 1000  # per replica
+    while pos.size:
+        if steps_left == 0:
+            raise RuntimeError("first-passage simulation exceeded its step budget")
+        block = max(1, min(steps_left, _PASSAGE_ELEMENTS // pos.size))
+        draws = sample_one_sided_stable(alpha, (block, pos.size), gen)
+        path = _passage_block(v, draws, scale_c, scale_f, t - margin)
+        steps_left -= block
+        done = path[-1] > t
         if done.any():
-            out[pos[done]] = v[done]
+            # a row retires at its first value above t
+            cols = np.flatnonzero(done)
+            out[pos[cols]] = path[(path[:, cols] <= t).sum(axis=0), cols]
             keep = ~done
-            v = v[keep]
-            pos = pos[keep]
-    raise RuntimeError("first-passage simulation exceeded its step budget")
+            v, pos = path[-1, keep], pos[keep]
+        else:
+            v = path[-1]
+    return out
 
 
 def range_miss_prob_mc(

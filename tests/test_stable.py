@@ -8,6 +8,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trapclock import stable
 from trapclock.core import RngStream
 from trapclock.stable import (
     SubordinatorPath,
@@ -169,6 +170,98 @@ def test_first_passage_values_exceed_level():
     vals = first_passage_values(0.5, 1.0, 1.0, 200, RngStream(8, 8))
     assert vals.shape == (200,)
     assert np.all(vals > 1.0)
+
+
+def _per_step(v, draws, scale_c, scale_f, switch):
+    # the coarse/fine rule one step at a time: the scale follows the value
+    # before each step
+    path = []
+    for d in draws:
+        v = v + (scale_c if v < switch else scale_f) * d
+        path.append(v)
+    return path
+
+
+def test_passage_block_matches_a_per_step_loop():
+    scale_c, scale_f, switch, t = 0.05, 0.005, 0.9, 1.0
+    ones = np.ones(8)
+    rows = [
+        (0.72, ones),  # switches to fine steps inside the block
+        (0.9, ones),  # starts at the switch: every step is fine
+        (0.95, ones),  # starts above the switch
+        (0.5, np.array([1.0, 20.0, 1, 1, 1, 1, 1, 1])),  # crosses t on a coarse step
+        (0.0, ones),  # stays below the switch and below t
+        (0.89, ones),  # switches on its first step
+        (0.5, np.array([1.0, 1, 1, 1, 1, 1, 1, 12.0])),  # crosses t on its last step
+    ]
+    gen = RngStream(66, 1).generator()
+    v = np.concatenate([[r[0] for r in rows], gen.uniform(0.0, 1.0, 300)])
+    draws = np.column_stack([r[1] for r in rows] + [
+        stable.sample_one_sided_stable(0.5, (8, 300), gen) * 0.1
+    ])
+    got = stable._passage_block(v, draws, scale_c, scale_f, switch)
+    want = np.column_stack([
+        _per_step(v[i], draws[:, i], scale_c, scale_f, switch) for i in range(v.size)
+    ])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # the hand-made rows do what their comments say
+    assert want[2, 0] < switch <= want[3, 0] < t
+    assert (want[:, 3] > t).argmax() == 1 and want[0, 3] < switch
+    assert want[-1, 4] < switch and want[-2, 6] < switch and want[-1, 6] > t
+    # the random rows switch and cross inside the block too
+    assert ((v[7:] < switch) & (want[-2, 7:] >= switch)).sum() > 10
+    assert (want[-1, 7:] > t).sum() > 10
+
+
+def _passage_by_steps(alpha, K, t, replicas, rng, elements):
+    # first passage one replica and one step at a time, on the draws of the
+    # passes `first_passage_values` makes with this element budget
+    base = t**alpha / K
+    scale_c = (K * 5e-3 * base) ** (1.0 / alpha)
+    scale_f = (K * 5e-4 * base) ** (1.0 / alpha)
+    gen = rng.generator()
+    v, out, live = [0.0] * replicas, [None] * replicas, list(range(replicas))
+    while live:
+        block = max(1, elements // len(live))
+        draws = sample_one_sided_stable(alpha, (block, len(live)), gen)
+        still = []
+        for col, r in enumerate(live):
+            for value in _per_step(v[r], draws[:, col], scale_c, scale_f, t - 0.1 * t):
+                if value > t:
+                    out[r] = value
+                    break
+            else:
+                v[r] = value
+                still.append(r)
+        live = still
+    return np.array(out)
+
+
+@pytest.mark.parametrize("elements", [1, 64, 1 << 14])
+def test_first_passage_matches_a_per_step_loop(monkeypatch, elements):
+    monkeypatch.setattr(stable, "_PASSAGE_ELEMENTS", elements)
+    got = first_passage_values(0.5, 2.0, 0.5, 150, RngStream(66, 2))
+    want = _passage_by_steps(0.5, 2.0, 0.5, 150, RngStream(66, 2), elements)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_first_passage_step_budget_raises(monkeypatch):
+    # draws of zero never move the path: the replica runs out of its
+    # 50 t^alpha/K / dt_fine + 1000 steps
+    monkeypatch.setattr(stable, "sample_one_sided_stable", lambda alpha, size, rng: np.zeros(size))
+    with pytest.raises(RuntimeError, match="step budget"):
+        first_passage_values(0.5, 1.0, 1.0, 3, RngStream(66, 3))
+
+
+@pytest.mark.parametrize("alpha, K, t, replicas, digest", [
+    (0.5, 1.0, 1.0, 2000, "9bd62036d5514712e0e683f1ad044aae60bfa469880f46ddb94d2900158565c5"),
+    (0.3, 2.0, 0.5, 500, "56f2d0aed31669711abc3cbfb7f04884fabc2573bb9ae6813020bea82425db2e"),
+], ids=["a0.5", "a0.3"])
+def test_first_passage_stream_is_pinned(alpha, K, t, replicas, digest):
+    # SHA-256 of the first-passage values at a fixed stream and size; a
+    # change that alters the range-miss stream on purpose updates it
+    vals = first_passage_values(alpha, K, t, replicas, RngStream(66, 4))
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
 
 
 def test_range_miss_matches_arcsine():
