@@ -29,7 +29,6 @@ and gives the caller's count back after (`_one_blas_thread`).
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import glob
@@ -73,33 +72,37 @@ _blas_users = 0
 _blas_threads = 1
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread and restore its
-    thread count after, also when the body raises; do nothing where that
-    library is not found (`_openblas`). Its one caller is
+class _one_blas_thread:
+    """Context manager: run the body with numpy's OpenBLAS on one thread and
+    restore its thread count after, also when the body raises; do nothing
+    where that library is not found (`_openblas`). Its one caller is
     `PSpinDisorder.energy_of_words`, whose contractions are small and run
     one per worker in the aging kernel, where a threaded BLAS only adds
     contention. Concurrent callers share the cap: the first one in sets it
-    and the last one out restores the count the first one found."""
-    global _blas_users, _blas_threads
-    api = _openblas()
-    if api is None:
-        yield
-        return
-    get, put = api
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_threads = get()
-            put(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
+    and the last one out restores the count the first one found. When that
+    count is already 1, neither sets it."""
+
+    def __enter__(self):
+        global _blas_users, _blas_threads
+        self._api = _openblas()
+        if self._api is None:
+            return
+        get, put = self._api
+        with _blas_lock:
+            if _blas_users == 0:
+                _blas_threads = get()
+                if _blas_threads != 1:
+                    put(1)
+            _blas_users += 1
+
+    def __exit__(self, *exc):
+        global _blas_users
+        if self._api is None:
+            return
         with _blas_lock:
             _blas_users -= 1
-            if _blas_users == 0:
-                put(_blas_threads)
+            if _blas_users == 0 and _blas_threads != 1:
+                self._api[1](_blas_threads)
 
 
 class _Landscape:

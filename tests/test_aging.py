@@ -564,6 +564,19 @@ def test_concurrent_blas_caps_restore_the_first_count():
         put(threads)
 
 
+@pytest.mark.parametrize("threads, sets", [(1, []), (3, [1, 3])], ids=["one", "three"])
+def test_blas_cap_sets_the_count_only_when_it_is_not_one(monkeypatch, threads, sets):
+    # at a count of 1 the cap has nothing to do: an evaluator call, nested
+    # caps included, never calls the setter; at another count it sets 1 on
+    # the way in and the count it found on the way out, once each
+    puts = []
+    monkeypatch.setattr(hamiltonian, "_openblas", lambda: (lambda: threads, puts.append))
+    dense = PSpinDisorder(10, 3, RngStream(41, 42), "dense")
+    with hamiltonian._one_blas_thread():
+        dense.energy_of_words(np.arange(8, dtype=np.uint64)[:, None])
+    assert puts == sets
+
+
 @pytest.mark.parametrize("name, stand_in", [
     ("_one_blas_thread", contextlib.nullcontext), ("_openblas", lambda: None),
 ], ids=["cap-off", "no-library"])
