@@ -17,8 +17,8 @@ the parent first when i is even and the change first when it is odd.
   is kept.
 - `--tests`: the named tests under pytest, one pair per `--test-pairs`; the
   call time of each test (from `--durations=0`) is kept.
-- `--tier1-pairs`: the whole suite under its tier-1 command; its wall time
-  and the call time of every test named in `--tests` are kept.
+- `--tier1-pairs`: the whole suite under its tier-1 command; the suite time
+  pytest reports and the call time of every test named in `--tests` are kept.
 - `--trace-workload`: one `--trace 1` run per side of that workload at the
   first seed; its per-layer metrics are kept (single runs, no win count).
 
@@ -92,7 +92,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def in_pairs(n: int, one, label: str):
-    """Run `one(side)` for n alternating pairs; yields (parent, change) results."""
+    """Run `one(side, i)` for n alternating pairs; yields (parent, change) results."""
     for i in range(n):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
