@@ -181,7 +181,8 @@ def first_passage_values(
         steps_left -= block
         done = path[-1] > t
         if done.any():
-            # a row retires at its first value above t
+            # a replica retires at its first value above t, which follows
+            # its values at or below t, as paths only rise
             cols = np.flatnonzero(done)
             out[pos[cols]] = path[(path[:, cols] <= t).sum(axis=0), cols]
             keep = ~done

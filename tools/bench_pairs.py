@@ -5,7 +5,7 @@ summarized into one BENCH_<pr>.json.
     python3 tools/bench_pairs.py --parent ../parent --change ../change --pr 24 \\
         --workloads limits cli-presets --seeds 601-610 --seconds 15 \\
         --tests tests/test_acceptance.py::test_criterion_6_stable_laplace_and_range_miss \\
-        --test-pairs 10 --tier1-pairs 2 --out BENCH_24.json
+        --test-pairs 10 --tier1-pairs 2 --trace-pairs 3 --out BENCH_24.json
 
 `--parent` and `--change` are two checkouts of the repository (for example
 `git archive` of each commit unpacked into its own directory); every run
@@ -18,9 +18,10 @@ the parent first when i is even and the change first when it is odd.
 - `--tests`: the named tests under pytest, one pair per `--test-pairs`; the
   call time of each test (from `--durations=0`) is kept.
 - `--tier1-pairs`: the whole suite under its tier-1 command; the suite time
-  pytest reports and the call time of every test named in `--tests` are kept.
-- `--trace-workload`: one `--trace 1` run per side of that workload at the
-  first seed; its per-layer metrics are kept (single runs, no win count).
+  pytest reports, the pass count and each acceptance criterion's call time
+  are kept.
+- `--trace-pairs`: `--trace 1` runs of `--trace-workload`, one pair per seed
+  from the first; every per-layer metric of BENCHMARK.json is kept.
 
 For each metric the file holds both sides' runs, medians and quartiles, and
 the number of pairs the change won (ties count for neither side).
@@ -41,6 +42,7 @@ from pathlib import Path
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^\s*([0-9.]+)s call\s+(\S+)")
 SUMMARY = re.compile(r"(\d+) passed.* in ([0-9.]+)s")
+ACCEPTANCE = "tests/test_acceptance.py::"
 
 
 def _seeds(text: str) -> list[int]:
@@ -66,7 +68,7 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 
 def pytest_times(root: Path, args: list[str], tests: list[str]) -> dict:
     """The suite time pytest reports, its pass count and each test's call time."""
-    res = _run([*args, "--durations=0", *tests], root, 3600)
+    res = _run([*args, "--durations=0", "--durations-min=0", *tests], root, 3600)
     calls = {}
     for line in res.stdout.splitlines():
         m = DURATION.match(line)
@@ -110,7 +112,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="*", default=[])
     ap.add_argument("--seeds", default="0", help="one seed per pair: N or LO-HI")
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--trace-workload", default=None)
+    ap.add_argument("--trace-workload", default="limits")
+    ap.add_argument("--trace-pairs", type=int, default=0)
     ap.add_argument("--tests", nargs="*", default=[])
     ap.add_argument("--test-pairs", type=int, default=0)
     ap.add_argument("--tier1-pairs", type=int, default=0)
@@ -128,28 +131,28 @@ def main(argv=None) -> int:
                                    "numpy": numpy.__version__, "scipy": scipy.__version__},
            "seconds": args.seconds, "seeds": seeds, "workloads": {}, "tests": {}}
 
-    for w in args.workloads:
-        runs = list(in_pairs(len(seeds), lambda side, i: bench(roots[side], w, seeds[i],
-                                                              args.seconds, 0), w))
+    def paired(workload, trace, metrics, n):
+        runs = list(in_pairs(n, lambda side, i: bench(roots[side], workload, seeds[i],
+                                                     args.seconds, trace), workload))
         entry = {"correct": {"parent": [p["correct"] for p, _ in runs],
                              "change": [c["correct"] for _, c in runs]}}
-        for m in spec["end_to_end"]:
+        for m in metrics:
             entry[m["name"]] = {"unit": m["unit"], **summarize(
                 [p["values"][m["name"]] for p, _ in runs],
                 [c["values"][m["name"]] for _, c in runs], m["better"])}
-        out["workloads"][w] = entry
+        return entry
 
-    if args.trace_workload:
-        traced = {side: bench(root, args.trace_workload, seeds[0], args.seconds, 1)["values"]
-                  for side, root in roots.items()}
-        out["layers"] = {"workload": args.trace_workload, "seed": seeds[0],
-                         **{m["name"]: {"unit": m["unit"], "better": m["better"],
-                                        "parent": traced["parent"].get(m["name"]),
-                                        "change": traced["change"].get(m["name"])}
-                            for m in spec["per_layer"]}}
+    for w in args.workloads:
+        out["workloads"][w] = paired(w, 0, spec["end_to_end"], len(seeds))
+    if args.trace_pairs:
+        out["layers"] = {"workload": args.trace_workload, **paired(
+            args.trace_workload, 1, spec["per_layer"], args.trace_pairs)}
 
-    def add_test_times(runs, key_prefix):
-        for test in args.tests:
+    def add_test_times(runs, tests, key_prefix):
+        for test in tests:
+            if any(test not in r["calls"] for pair in runs for r in pair):
+                print(f"{test}: not run on both sides, left out", file=sys.stderr)
+                continue
             name = test.rsplit("::", 1)[-1]
             out["tests"][f"{key_prefix}{name}_s"] = {"unit": "s", **summarize(
                 [p["calls"].get(test) for p, _ in runs],
@@ -159,7 +162,7 @@ def main(argv=None) -> int:
         runs = list(in_pairs(args.test_pairs, lambda side, i: pytest_times(
             roots[side], [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
             args.tests), "tests"))
-        add_test_times(runs, "")
+        add_test_times(runs, args.tests, "")
     if args.tier1_pairs:
         runs = list(in_pairs(args.tier1_pairs, lambda side, i: pytest_times(
             roots[side], TIER1, []), "tier-1"))
@@ -167,7 +170,9 @@ def main(argv=None) -> int:
             [p["suite_s"] for p, _ in runs], [c["suite_s"] for _, c in runs], "lower")}
         out["tests"]["tier1_passed"] = {"parent": [p["passed"] for p, _ in runs],
                                         "change": [c["passed"] for _, c in runs]}
-        add_test_times(runs, "tier1.")
+        criteria = sorted({t for pair in runs for r in pair for t in r["calls"]
+                           if t.startswith(ACCEPTANCE)})
+        add_test_times(runs, criteria, "tier1.")
 
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
