@@ -110,8 +110,8 @@ def arcsine_cdf(alpha: float, x) -> float | np.ndarray:
 
 
 # draws per first-passage pass, spread over the live replicas: a pass takes
-# one step per replica while at least this many are live, and a block of
-# steps per replica once fewer are (cf. `aging._chunk_length`)
+# max(1, _PASSAGE_ELEMENTS // live) steps per replica, so one step while more
+# than half this many are live (cf. `aging._chunk_length`)
 _PASSAGE_ELEMENTS = 1 << 14
 
 

@@ -3,7 +3,7 @@
 summarized into one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change --pr 24 \\
-        --workloads limits cli-presets --seeds 601-610 --seconds 15 \\
+        --workloads limits cli-presets --seeds 601-610 \\
         --tests tests/test_acceptance.py::test_criterion_6_stable_laplace_and_range_miss \\
         --test-pairs 10 --tier1-pairs 2 --trace-pairs 3 --out BENCH_24.json
 
@@ -12,16 +12,19 @@ summarized into one BENCH_<pr>.json.
 happens inside one of them, so neither writes into the other. Pair i runs
 the parent first when i is even and the change first when it is odd.
 
-- Workloads: `perfbench/run.py --workload W --seed S --seconds T --trace 0`,
-  one pair per seed. Every end-to-end metric of the change's BENCHMARK.json
-  is kept.
+- Workloads: `perfbench/run.py --workload W --seed S --trace 0`, one pair
+  per seed, each run as long as BENCHMARK.json's `run_seconds`. Every
+  end-to-end metric of the change's BENCHMARK.json is kept.
 - `--tests`: the named tests under pytest, one pair per `--test-pairs`; the
-  call time of each test (from `--durations=0`) is kept.
+  call time of each test (from `--durations=0`) is kept. These are the
+  figures for acceptance-criterion times.
 - `--tier1-pairs`: the whole suite under its tier-1 command; the suite time
-  pytest reports, the pass count and each acceptance criterion's call time
-  are kept.
-- `--trace-pairs`: `--trace 1` runs of `--trace-workload`, one pair per seed
-  from the first; every per-layer metric of BENCHMARK.json is kept.
+  pytest reports is kept.
+- `--trace-pairs`: `--trace 1` runs of the first workload, one pair per
+  seed from the first; every per-layer metric of BENCHMARK.json is kept.
+
+Every pytest run's passed, failed and error counts and exit code are kept
+per side; a run that prints no summary line stops the script.
 
 For each metric the file holds both sides' runs, medians and quartiles, and
 the number of pairs the change won (ties count for neither side).
@@ -41,8 +44,8 @@ from pathlib import Path
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 DURATION = re.compile(r"^\s*([0-9.]+)s call\s+(\S+)")
-SUMMARY = re.compile(r"(\d+) passed.* in ([0-9.]+)s")
-ACCEPTANCE = "tests/test_acceptance.py::"
+SUMMARY = re.compile(r"^=*\s*(.*) in ([0-9.]+)s")
+COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 
 def _seeds(text: str) -> list[int]:
@@ -56,9 +59,9 @@ def _run(cmd: list[str], root: Path, timeout: float) -> subprocess.CompletedProc
                           timeout=timeout)
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     res = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", str(trace)], root, 1800)
+                "--trace", str(trace)], root, 1800)
     if res.returncode != 0:
         raise SystemExit(f"{root}: {workload} seed {seed} exited {res.returncode}\n{res.stderr}")
     result = json.loads(res.stdout.strip().splitlines()[-1])
@@ -67,16 +70,31 @@ def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 
 
 def pytest_times(root: Path, args: list[str], tests: list[str]) -> dict:
-    """The suite time pytest reports, its pass count and each test's call time."""
+    """The suite time pytest reports, its outcome counts and exit code, and
+    each test's call time."""
     res = _run([*args, "--durations=0", "--durations-min=0", *tests], root, 3600)
-    calls = {}
+    calls, summary = {}, None
     for line in res.stdout.splitlines():
         m = DURATION.match(line)
         if m:
             calls[m.group(2)] = float(m.group(1))
-    summary = SUMMARY.search(res.stdout)
-    return {"passed": int(summary.group(1)) if summary else 0,
-            "suite_s": float(summary.group(2)) if summary else None, "calls": calls}
+        elif COUNT.search(line):
+            summary = SUMMARY.match(line) or summary
+    if summary is None:
+        raise SystemExit(f"{root}: pytest printed no summary line (exit {res.returncode})\n"
+                         f"{res.stdout[-2000:]}{res.stderr[-2000:]}")
+    counts = {"passed": 0, "failed": 0, "errors": 0}
+    for n, what in COUNT.findall(summary.group(1)):
+        counts["errors" if what.startswith("error") else what] += int(n)
+    return {**counts, "returncode": res.returncode,
+            "suite_s": float(summary.group(2)), "calls": calls}
+
+
+def outcomes(runs) -> dict:
+    """Each side's pytest outcome counts and exit codes, one entry per pair."""
+    keys = ("passed", "failed", "errors", "returncode")
+    return {side: {k: [pair[i][k] for pair in runs] for k in keys}
+            for i, side in enumerate(("parent", "change"))}
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -111,8 +129,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--workloads", nargs="*", default=[])
     ap.add_argument("--seeds", default="0", help="one seed per pair: N or LO-HI")
-    ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--trace-workload", default="limits")
     ap.add_argument("--trace-pairs", type=int, default=0)
     ap.add_argument("--tests", nargs="*", default=[])
     ap.add_argument("--test-pairs", type=int, default=0)
@@ -122,6 +138,8 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seeds = _seeds(args.seeds)
+    if args.trace_pairs and not args.workloads:
+        ap.error("--trace-pairs traces the first of --workloads; name one")
 
     import numpy
     import scipy
@@ -129,11 +147,11 @@ def main(argv=None) -> int:
     out = {"pr": args.pr, "host": {"cpus": len(os.sched_getaffinity(0)),
                                    "python": platform.python_version(),
                                    "numpy": numpy.__version__, "scipy": scipy.__version__},
-           "seconds": args.seconds, "seeds": seeds, "workloads": {}, "tests": {}}
+           "run_seconds": spec["run_seconds"], "seeds": seeds, "workloads": {}, "tests": {}}
 
     def paired(workload, trace, metrics, n):
-        runs = list(in_pairs(n, lambda side, i: bench(roots[side], workload, seeds[i],
-                                                     args.seconds, trace), workload))
+        runs = list(in_pairs(n, lambda side, i: bench(roots[side], workload, seeds[i], trace),
+                             workload))
         entry = {"correct": {"parent": [p["correct"] for p, _ in runs],
                              "change": [c["correct"] for _, c in runs]}}
         for m in metrics:
@@ -145,34 +163,27 @@ def main(argv=None) -> int:
     for w in args.workloads:
         out["workloads"][w] = paired(w, 0, spec["end_to_end"], len(seeds))
     if args.trace_pairs:
-        out["layers"] = {"workload": args.trace_workload, **paired(
-            args.trace_workload, 1, spec["per_layer"], args.trace_pairs)}
-
-    def add_test_times(runs, tests, key_prefix):
-        for test in tests:
-            if any(test not in r["calls"] for pair in runs for r in pair):
-                print(f"{test}: not run on both sides, left out", file=sys.stderr)
-                continue
-            name = test.rsplit("::", 1)[-1]
-            out["tests"][f"{key_prefix}{name}_s"] = {"unit": "s", **summarize(
-                [p["calls"].get(test) for p, _ in runs],
-                [c["calls"].get(test) for _, c in runs], "lower")}
+        w = args.workloads[0]
+        out["layers"] = {"workload": w, **paired(w, 1, spec["per_layer"], args.trace_pairs)}
 
     if args.tests and args.test_pairs:
         runs = list(in_pairs(args.test_pairs, lambda side, i: pytest_times(
             roots[side], [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
             args.tests), "tests"))
-        add_test_times(runs, args.tests, "")
+        out["tests"]["outcomes"] = outcomes(runs)
+        for test in args.tests:
+            if any(test not in r["calls"] for pair in runs for r in pair):
+                print(f"{test}: not run on both sides, left out", file=sys.stderr)
+                continue
+            out["tests"][test.rsplit("::", 1)[-1] + "_s"] = {"unit": "s", **summarize(
+                [p["calls"][test] for p, _ in runs], [c["calls"][test] for _, c in runs],
+                "lower")}
     if args.tier1_pairs:
         runs = list(in_pairs(args.tier1_pairs, lambda side, i: pytest_times(
             roots[side], TIER1, []), "tier-1"))
         out["tests"]["tier1_s"] = {"unit": "s", **summarize(
             [p["suite_s"] for p, _ in runs], [c["suite_s"] for _, c in runs], "lower")}
-        out["tests"]["tier1_passed"] = {"parent": [p["passed"] for p, _ in runs],
-                                        "change": [c["passed"] for _, c in runs]}
-        criteria = sorted({t for pair in runs for r in pair for t in r["calls"]
-                           if t.startswith(ACCEPTANCE)})
-        add_test_times(runs, criteria, "tier1.")
+        out["tests"]["tier1_outcomes"] = outcomes(runs)
 
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
