@@ -8,7 +8,6 @@ import math
 
 from trapclock.core import RngStream
 from trapclock.hypercube import (
-    SpinConfig,
     distance_distribution,
     ehrenfest_hitting_linear_solve,
     ehrenfest_hitting_prob,
@@ -46,5 +45,5 @@ for nu in (2, 4, 6, 8):
     print(f"  nu = {nu}: {p:.4f} >= {math.exp(-nu * nu / N):.4f}")
 print()
 
-walk = sample_walk(N, 12, RngStream(2, 0), start=SpinConfig.all_plus(N))
+walk = sample_walk(N, 12, RngStream(2, 0))
 print(f"a sampled 12-step walk flips coordinates {walk.flips.tolist()}")

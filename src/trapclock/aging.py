@@ -13,7 +13,8 @@ jump chain). One batch kernel serves the REM and the dense p-spin model,
 which in the source paper age alike: the walk, the clock and the crossing
 detection are shared, and only the site energies differ. A site is the
 one-word row of the configuration format `hypercube` defines (N <= 64, so
-the word is `SpinConfig.bits`). REM energies come from the counter-based
+the word is `SpinConfig.bits`), and `hypercube` builds the walk's rows
+(`_walk_into`). REM energies come from the counter-based
 hash of `RemDisorder`, so revisits see the same trap depth without storing
 the visited set; p-spin energies come from each replica's dense couplings
 (`PSpinDisorder.energy_of_words`), in that evaluator's row blocks, and a
@@ -61,13 +62,16 @@ from scipy.special import ndtri_exp
 
 from .core import ModelParams, RngStream, gaussian_from_bits, mix64_inplace
 from .hamiltonian import PSpinDisorder
+from .hypercube import _walk_into, hamming_u64
 from .stable import arcsine_cdf
 
 # fraction of replicas allowed to exhaust the step budget before the
 # estimate is flagged as non conclusive
 _EXCLUSION_BUDGET = 0.05
 
-_ONE = np.uint64(1)
+# a replica's step budget before it is written off, in units of the
+# expected step count to the second target (`_step_cap`)
+_STEP_CAP_FACTOR = 8.0
 
 # replicas per batch job: the unit of the random streams and of the work
 # handed to each core; small batches keep heavy-tailed batch times balanced
@@ -249,20 +253,6 @@ def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
         # after a failed job, the others need not run
         for f in futures:
             f.cancel()
-
-
-def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
-    """One chunk of the walk, in place along the last axis of `walk`.
-
-    Column 0 holds the starting site `pos`, column k the site after the
-    first k flips, so ``walk[..., :-1]`` are the sites the chunk's waits
-    are spent in and ``walk[..., -1]`` is where the next chunk starts.
-    """
-    walk[..., 0] = pos
-    np.left_shift(
-        _ONE, flips, out=walk[..., 1:], dtype=np.uint64, casting="unsafe"
-    )
-    np.bitwise_xor.accumulate(walk, axis=-1, out=walk)
 
 
 def _clock_series(
@@ -459,9 +449,9 @@ def _aging_kernel(
     Replica i's landscape lives on ``rng.substream(1).substream(i)``: the
     `RemDisorder` or (mode "pspin") the dense `PSpinDisorder` of that
     stream. Replicas run in batches of ``_BATCH`` (32), each built inside
-    its job (`_aging_job`) with its own generator keyed by its first
-    replica; the batches run inline or on the process pool (`_run_jobs`). A
-    batch draws its flips and waits from that one generator, flips first in
+    its job (`_batch_job`) with its own generator keyed by its first
+    replica; the batches run inline or on the process pool (`_run_batches`).
+    A batch draws its flips and waits from that one generator, flips first in
     every chunk, and its chunks keep a fixed element budget
     (`_chunk_length`). So the results depend on ``_BATCH`` and the chunk
     length but not on where or in what order the batches run. REM visits
@@ -481,26 +471,39 @@ def _aging_kernel(
             raise ValueError("p-spin kernel needs beta > 0")
     elif mode != "rem":
         raise ValueError(f"unknown mode {mode!r}")
-    scales = _kernel_scales(params, t, s, step_cap, dropped)
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
-    jobs = [(params, mode, key_rng, batch_rng, lo, min(lo + _BATCH, replicas), step_cap, *scales)
-            for lo in range(0, replicas, _BATCH)]
-    # p-spin batches go to the pool: `_aging_work` prices a step like a REM
-    # hash, far below a contraction (N=10, 300 replicas: about 50 ms on
-    # two cores' pool, 90 ms inline)
-    work = math.inf if mode == "pspin" else _aging_work(params, t + s, replicas)
-    parts = _run_jobs(_aging_job, jobs, work)
+    batches = [(key_rng, lo, min(lo + _BATCH, replicas), batch_rng.substream(lo),
+                batch_rng.substream(lo), False) for lo in range(0, replicas, _BATCH)]
+    parts = _run_batches(params, mode, t, s, step_cap, dropped, batches)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _aging_job(params: ModelParams, mode: str, key_rng: RngStream, batch_rng: RngStream,
-               lo: int, hi: int, step_cap: int, nu: int, chunk: int, targets, root: float,
-               floor: int):
-    """`_aging_batch` of replicas lo..hi-1 of an `_aging_kernel` call: their
-    landscapes from `key_rng`, their generator from ``batch_rng.substream(lo)``."""
-    gen = batch_rng.substream(lo).generator()
+def _run_batches(params: ModelParams, mode: str, t: float, s: float, step_cap: int,
+                 dropped: float, batches: list[tuple]) -> list:
+    """`_batch_job` of each of `batches`, a tuple (key_rng, lo, hi, walk_rng,
+    wait_rng, shared_walk), at the call's `_kernel_scales`; the jobs run
+    inline or on the process pool (`_run_jobs`), in the order given."""
+    scales = _kernel_scales(params, t, s, step_cap, dropped)
+    jobs = [(params, mode, *batch, step_cap, *scales) for batch in batches]
+    # p-spin batches go to the pool: `_aging_work` prices a step like a REM
+    # hash, far below a contraction (N=10, 300 replicas: about 50 ms on
+    # two cores' pool, 90 ms inline)
+    replicas = sum(hi - lo for _, lo, hi, *_ in batches)
+    work = math.inf if mode == "pspin" else _aging_work(params, t + s, replicas)
+    return _run_jobs(_batch_job, jobs, work)
+
+
+def _batch_job(params: ModelParams, mode: str, key_rng: RngStream, lo: int, hi: int,
+               walk_rng: RngStream, wait_rng: RngStream, shared_walk: bool, step_cap: int,
+               nu: int, chunk: int, targets, root: float, floor: int):
+    """`_aging_batch` of replicas lo..hi-1: their landscapes from `key_rng`
+    (`_landscapes`), the flips from `walk_rng` and the waits from
+    `wait_rng`, both from one generator when the two streams are equal."""
+    walk_gen = walk_rng.generator()
+    wait_gen = walk_gen if wait_rng == walk_rng else wait_rng.generator()
     keys = _landscapes(params, mode, key_rng, np.arange(lo, hi, dtype=np.uint64))
-    return _aging_batch(keys, gen, gen, params.N, nu, root, targets, step_cap, chunk, floor)
+    return _aging_batch(keys, walk_gen, wait_gen, params.N, nu, root, targets, step_cap,
+                        chunk, floor, shared_walk)
 
 
 def _aging_batch(
@@ -635,11 +638,6 @@ def _block_end_value(cols: np.ndarray, vals: np.ndarray, rows: np.ndarray, at: n
     return vals[rows, ahead[np.arange(rows.size), inside - 1]]
 
 
-def hamming_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distance between packed spin configurations (bitwise)."""
-    return np.bitwise_count(a ^ b).astype(np.int64)
-
-
 def _frozen_kernel(
     params: ModelParams,
     t: float,
@@ -656,27 +654,13 @@ def _frozen_kernel(
     walk drawn from substream 1 of the group's stream, while the traps
     (keys from substream 3) and the exponential marks (substream 2) are
     per replica. Finished replicas retire, as in the aging kernel. Groups
-    run inline or on the process pool (`_frozen_job`, `_run_jobs`);
-    `dropped` is as in
+    run inline or on the process pool (`_run_batches`); `dropped` is as in
     `_aging_kernel`. Returns a list of (dist, excluded) pairs, one per group.
     """
-    scales = _kernel_scales(params, t, s, step_cap, dropped)
-    jobs = [(params, rng.substream(100 + g), replicas_per_group, step_cap, *scales)
-            for g in range(groups)]
-    return _run_jobs(_frozen_job, jobs, _aging_work(params, t + s, replicas_per_group * groups))
-
-
-def _frozen_job(params: ModelParams, grng: RngStream, replicas: int, step_cap: int,
-                nu: int, chunk: int, targets, root: float, floor: int):
-    """(dist, excluded) of one `_frozen_kernel` group: its keys from
-    substream 3 of the group's stream `grng`, its walk from substream 1 and
-    its waits from substream 2."""
-    keys = _landscapes(params, "rem", grng.substream(3), np.arange(replicas, dtype=np.uint64))
-    dist, excluded, _ = _aging_batch(
-        keys, grng.substream(1).generator(), grng.substream(2).generator(),
-        params.N, nu, root, targets, step_cap, chunk, floor, True,
-    )
-    return dist, excluded
+    batches = [(g.substream(3), 0, replicas_per_group, g.substream(1), g.substream(2), True)
+               for g in map(rng.substream, range(100, 100 + groups))]
+    parts = _run_batches(params, "rem", t, s, step_cap, dropped, batches)
+    return [(dist, excluded) for dist, excluded, _ in parts]
 
 
 def _binomial(indicator_valid: np.ndarray) -> tuple[float, float]:
@@ -722,7 +706,6 @@ def _prepare(
     replicas: int,
     rng: RngStream | None,
     substream: int,
-    step_cap_factor: float,
     groups: int = 2,
     epsilons: Sequence[float] = (),
 ) -> tuple[RngStream, int]:
@@ -748,12 +731,10 @@ def _prepare(
     for e in epsilons:
         if not e >= 0.0:
             raise ValueError(f"epsilon must be a number >= 0, got {e!r}")
-    if not (math.isfinite(step_cap_factor) and step_cap_factor > 0.0):
-        raise ValueError(f"step_cap_factor must be finite and > 0, got {step_cap_factor!r}")
     _check_kernel_domain(params)
     if rng is None:
         rng = params.stream().substream(substream)
-    return rng, _step_cap(params, t + s, step_cap_factor)
+    return rng, _step_cap(params, t + s, _STEP_CAP_FACTOR)
 
 
 def estimate_aging(
@@ -764,7 +745,6 @@ def estimate_aging(
     replicas: int,
     mode: str = "rem",
     rng: RngStream | None = None,
-    step_cap_factor: float = 8.0,
 ):
     """Monte Carlo estimate of the two-time epsilon-neighbourhood probability.
 
@@ -780,7 +760,7 @@ def estimate_aging(
     """
     scalar = np.ndim(epsilon) == 0
     eps_list = [epsilon] if scalar else list(epsilon)
-    rng, cap = _prepare(params, t, s, replicas, rng, 3, step_cap_factor, epsilons=eps_list)
+    rng, cap = _prepare(params, t, s, replicas, rng, 3, epsilons=eps_list)
     dist, excluded, _ = _aging_kernel(params, t, s, replicas, rng, cap, mode)
 
     valid = dist[~excluded]
@@ -802,7 +782,6 @@ def estimate_aging_frozen(
     replicas_per_group: int,
     groups: int = 12,
     rng: RngStream | None = None,
-    step_cap_factor: float = 8.0,
 ) -> AgingEstimate:
     """Aging estimate with the jump chain frozen within each replica group.
 
@@ -811,8 +790,7 @@ def estimate_aging_frozen(
     per-group means over sqrt(groups), which absorbs both the within-group
     binomial noise and the trajectory-to-trajectory variability.
     """
-    rng, cap = _prepare(params, t, s, replicas_per_group, rng, 4, step_cap_factor, groups,
-                        epsilons=[epsilon])
+    rng, cap = _prepare(params, t, s, replicas_per_group, rng, 4, groups, epsilons=[epsilon])
     per_group = _frozen_kernel(params, t, s, replicas_per_group, groups, rng, cap)
 
     thresh = epsilon * params.N / 2.0
@@ -838,7 +816,6 @@ def estimate_range_miss(
     replicas: int,
     mode: str = "rem",
     rng: RngStream | None = None,
-    step_cap_factor: float = 8.0,
 ) -> AgingEstimate:
     """Probability that the coarse-grained clock range misses (t, t+s).
 
@@ -850,7 +827,7 @@ def estimate_range_miss(
     estimate runs below the two-time one, and both converge to the same
     arcsine limit.
     """
-    rng, cap = _prepare(params, t, s, replicas, rng, 5, step_cap_factor)
+    rng, cap = _prepare(params, t, s, replicas, rng, 5)
     _, _, vstar = _aging_kernel(params, t, s, replicas, rng, cap, mode)
     und = np.isnan(vstar)
 

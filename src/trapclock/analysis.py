@@ -45,14 +45,14 @@ class RateFunctionParams:
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 2:
             raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.lambda_margin < 0:
-            raise ValueError("lambda_margin must be >= 0")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        if not 0 <= self.lambda_margin < math.inf:
+            raise ValueError("lambda_margin must be finite and >= 0")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
 
     @property
     def branch_split(self) -> float:

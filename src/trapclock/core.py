@@ -171,14 +171,14 @@ class ModelParams:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if not isinstance(self.p, int) or self.p < 2:
             raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
         if not 0.5 < self.omega < 1.0:
             raise ValueError(f"omega must lie in (1/2, 1), got {self.omega!r}")
-        if self.horizon_T <= 0:
-            raise ValueError(f"horizon_T must be positive, got {self.horizon_T!r}")
+        if not 0 < self.horizon_T < math.inf:
+            raise ValueError(f"horizon_T must be finite and positive, got {self.horizon_T!r}")
         if self.nu() >= self.N:
             warnings.warn(
                 f"nu = {self.nu()} >= N = {self.N}: block structure degenerate",

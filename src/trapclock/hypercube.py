@@ -113,12 +113,29 @@ class WalkTrajectory:
         return masks
 
 
-def sample_walk(N: int, k: int, rng, start: SpinConfig | None = None) -> WalkTrajectory:
-    if start is None:
-        start = SpinConfig.all_plus(N)
-    if start.N != N:
-        raise ValueError("start has wrong dimension")
-    return WalkTrajectory(start, as_generator(rng).integers(0, N, size=k))
+def sample_walk(N: int, k: int, rng) -> WalkTrajectory:
+    """A k-step walk from the all-plus vertex, flips drawn from `rng`."""
+    return WalkTrajectory(SpinConfig.all_plus(N), as_generator(rng).integers(0, N, size=k))
+
+
+def _walk_into(walk: np.ndarray, pos, flips: np.ndarray) -> None:
+    """One chunk of a walk on one-word rows (N <= 64), in place along the
+    last axis of `walk`.
+
+    Column 0 holds the starting site `pos`, column k the site after the
+    first k flips, so ``walk[..., :-1]`` are the sites the chunk's waits
+    are spent in and ``walk[..., -1]`` is where the next chunk starts.
+    """
+    walk[..., 0] = pos
+    np.left_shift(
+        np.uint64(1), flips, out=walk[..., 1:], dtype=np.uint64, casting="unsafe"
+    )
+    np.bitwise_xor.accumulate(walk, axis=-1, out=walk)
+
+
+def hamming_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distance between packed spin configurations (bitwise)."""
+    return np.bitwise_count(a ^ b).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def sample_subordinator(alpha: float, K: float, grid, rng) -> SubordinatorPath:
     evaluated on the given strictly increasing grid (measured from V(0)=0)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if K < 0:
+    if not K >= 0:
         raise ValueError("K must be >= 0")
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
@@ -159,7 +159,7 @@ def first_passage_values(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if t <= 0 or K <= 0:
+    if not t > 0 or not K > 0:
         raise ValueError("need t > 0 and K > 0")
     base = t**alpha / K  # first-passage time scale
     dt_coarse = 5e-3 * base
@@ -206,7 +206,7 @@ def range_miss_prob_mc(
     path is increasing; the limit law says this is arcsine_cdf(alpha, t/(t+s)).
     Returns (estimate, stderr).
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be > 0")
     vstar = first_passage_values(alpha, K, t, replicas, rng)
     miss = (vstar >= t + s).astype(np.float64)

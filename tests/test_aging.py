@@ -15,14 +15,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from trapclock import aging, hamiltonian
+from trapclock import aging, hamiltonian, hypercube
 from trapclock.aging import (
     AgingEstimate,
     aging_curve,
     estimate_aging,
     estimate_aging_frozen,
     estimate_range_miss,
-    hamming_u64,
 )
 from trapclock.clock import clock_from_log_increments, simulate_clock
 from trapclock.core import (
@@ -33,7 +32,7 @@ from trapclock.core import (
     mix64_array,
 )
 from trapclock.hamiltonian import PSpinDisorder, RemDisorder
-from trapclock.hypercube import SpinConfig
+from trapclock.hypercube import SpinConfig, hamming_u64
 from trapclock.stable import arcsine_cdf
 
 # alpha = gamma / beta^2 = 1/2; small enough that a few thousand replicas
@@ -74,9 +73,8 @@ def test_validation():
     ({"s": -math.inf}, "s"), ({"s": math.nan}, "s"),
     ({"epsilon": -0.5}, "epsilon"), ({"epsilon": math.nan}, "epsilon"),
     ({"epsilon": [0.1, math.nan]}, "epsilon"),
-    ({"step_cap_factor": -1.0}, "step_cap_factor"), ({"step_cap_factor": 0.0}, "step_cap_factor"),
-    ({"step_cap_factor": math.inf}, "step_cap_factor"),
-    ({"step_cap_factor": math.nan}, "step_cap_factor"),
+    ({"t": -1.0}, "t"), ({"s": math.inf}, "s"),
+    ({"replicas": 0}, "replicas"), ({"replicas": -3}, "replicas"),
     ({"replicas": True}, "replicas"), ({"replicas": 10.0}, "replicas"),
     ({"replicas": 2.5}, "replicas"),
 ])
@@ -182,10 +180,9 @@ def test_beta_zero_decorrelates():
     assert math.isnan(est.alpha_used)
 
 
-def test_non_conclusive_on_starved_budget():
-    est = estimate_aging(
-        PARAMS, 1.0, 1.0, 0.3, 200, rng=RngStream(41, 8), step_cap_factor=0.001
-    )
+def test_non_conclusive_on_starved_budget(monkeypatch):
+    monkeypatch.setattr(aging, "_STEP_CAP_FACTOR", 0.001)
+    est = estimate_aging(PARAMS, 1.0, 1.0, 0.3, 200, rng=RngStream(41, 8))
     assert est.non_conclusive
     assert est.excluded > 10
 
@@ -211,18 +208,15 @@ def test_frozen_needs_replicas(replicas_per_group):
         estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, replicas_per_group, groups=3)
 
 
-def test_frozen_with_fewer_than_two_resolved_groups():
+def test_frozen_with_fewer_than_two_resolved_groups(monkeypatch):
     # no group resolves: no estimate; one group resolves: its mean, and no
     # spread to estimate a stderr from; neither case warns
     rem20 = ModelParams(N=20, p=3, beta=2.0, gamma=2.0)
+    monkeypatch.setattr(aging, "_STEP_CAP_FACTOR", 0.02)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        none = estimate_aging_frozen(
-            rem20, 1, 1, 0.3, 8, groups=3, rng=RngStream(3, 3), step_cap_factor=0.02
-        )
-        one = estimate_aging_frozen(
-            PARAMS, 1, 1, 0.3, 4, groups=3, rng=RngStream(41, 54), step_cap_factor=0.02
-        )
+        none = estimate_aging_frozen(rem20, 1, 1, 0.3, 8, groups=3, rng=RngStream(3, 3))
+        one = estimate_aging_frozen(PARAMS, 1, 1, 0.3, 4, groups=3, rng=RngStream(41, 54))
     assert none.excluded == none.replicas and none.non_conclusive
     assert math.isnan(none.estimate) and math.isnan(none.stderr)
     cap = aging._step_cap(PARAMS, 2.0, 0.02)
@@ -251,6 +245,17 @@ def test_pspin_preset_matches_arcsine():
     assert est.mode == "pspin"
     assert abs(est.estimate - float(arcsine_cdf(0.5, 0.5))) <= 4 * est.stderr
     assert est.excluded <= 0.05 * est.replicas
+
+
+def test_pspin_range_miss_sits_below_two_time():
+    # the bounds of the REM check above, on the default streams of each
+    two_time = estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300, mode="pspin")
+    rm = estimate_range_miss(PSPIN, 0.5, 0.5, 300, mode="pspin")
+    assert rm.mode == "pspin-range"
+    assert math.isnan(rm.epsilon)
+    combined = math.hypot(rm.stderr, two_time.stderr)
+    assert rm.estimate <= two_time.estimate + 4 * combined
+    assert abs(rm.estimate - rm.arcsine_prediction) < 0.2
 
 
 def test_pspin_mode_guards():
@@ -358,7 +363,7 @@ def test_chunk_stages_match_allocating_reference():
         want = clock[:, None] + np.cumsum(inc, axis=1)
 
         walk = np.empty((n, chunk + 1), dtype=np.uint64)
-        aging._walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
+        hypercube._walk_into(walk, pos, gen.integers(0, N, size=(n, chunk)))
         cols, vals = aging._clock_series(
             keys, walk[:, :-1], clock, root, floor, math.inf, nu, gen,
             np.empty((n, chunk), dtype=np.uint64), np.empty((n, chunk)),

@@ -95,6 +95,11 @@ def test_params_validation():
         RateFunctionParams(p=3, beta=1.0, gamma=0.5, lambda_margin=-0.1)
     with pytest.raises(ValueError):
         RateFunctionParams(p=3, beta=1.0, gamma=0.5, eta=-1.0)
+    for field in ("beta", "gamma", "lambda_margin", "eta"):
+        for value in (math.nan, math.inf):
+            kwargs = {"p": 3, "beta": 1.0, "gamma": 0.5, field: value}
+            with pytest.raises(ValueError, match=field):
+                RateFunctionParams(**kwargs)
 
 
 def test_branch_split_value():

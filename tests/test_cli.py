@@ -163,6 +163,17 @@ def test_aging_feasible_preset(tmp_path, capsys):
     assert not payload["non_conclusive"]
 
 
+def test_aging_pspin_preset(tmp_path):
+    # the criterion-9 aging preset in p-spin mode, run twice
+    argv = ["aging", "--N", "10", "--beta", "1.5", "--gamma", "1.125",
+            "--t", "0.5", "--s", "0.5", "--replicas", "300", "--mode", "pspin"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert json.loads((a / "aging.json").read_text())["mode"] == "pspin"
+    assert (a / "aging.json").read_bytes() == (b / "aging.json").read_bytes()
+
+
 def test_aging_curve_artifact(tmp_path):
     rc = main([
         "aging", "--N", "10", "--beta", "1.5", "--gamma", "1.125",
@@ -313,8 +324,13 @@ def test_config_must_be_object(tmp_path):
         ["subordinator", "--alpha", "1.5"],
         ["aging", "--N", "10", "--beta", "0", "--alpha", "0.5"],
         ["block-laplace", "--beta", "1.0", "--gamma", "0.5", "--N-list", ","],
+        ["subordinator", "--alpha", "0.5", "--s", "nan"],
+        ["upsilon", "--p", "3", "--beta", "nan", "--gamma", "0.5"],
+        ["block-laplace", "--beta", "nan", "--gamma", "0.5"],
+        ["aging", "--N", "10", "--beta", "nan", "--gamma", "1"],
     ],
-    ids=["subordinator_alpha", "aging_alpha_at_beta0", "block_laplace_no_N"],
+    ids=["subordinator_alpha", "aging_alpha_at_beta0", "block_laplace_no_N", "subordinator_s_nan",
+         "upsilon_beta_nan", "block_laplace_beta_nan", "aging_beta_nan"],
 )
 def test_refusals_write_nothing(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

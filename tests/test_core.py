@@ -87,12 +87,18 @@ def test_mix64_array_leaves_its_input():
         ("omega", 0.5),
         ("omega", 1.0),
         ("horizon_T", 0.0),
+        ("beta", math.nan),
+        ("beta", math.inf),
+        ("gamma", math.nan),
+        ("gamma", math.inf),
+        ("horizon_T", math.nan),
+        ("horizon_T", math.inf),
     ],
 )
 def test_model_params_rejects_bad_fields(field, value):
     kwargs = dict(N=10, p=3, beta=1.0, gamma=0.5)
     kwargs[field] = value
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         ModelParams(**kwargs)
 
 

@@ -6,11 +6,11 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trapclock import aging
 from trapclock.core import RngStream
 from trapclock.hypercube import (
     SpinConfig,
     WalkTrajectory,
+    _walk_into,
     binomial_half_pmf,
     distance_distribution,
     ehrenfest_hitting_linear_solve,
@@ -61,10 +61,10 @@ def test_walk_consecutive_configs_differ_by_one():
 @pytest.mark.parametrize("N", [12, 64, 70, 130])
 def test_word_rows_agree_across_layers(N):
     """Row k of position_words is config_at(k).words(), spin i in bit i % 64
-    of word i // 64, on an empty walk too; for N <= 64 the aging kernel's
+    of word i // 64, on an empty walk too; for N <= 64 the chunk builder's
     walk gives the same rows."""
     start = SpinConfig(N, (1 << (N - 1)) | 5)
-    walk = sample_walk(N, 200, RngStream(8, N), start=start)
+    walk = WalkTrajectory(start, RngStream(8, N).generator().integers(0, N, size=200))
     assert walk.flips.dtype == np.int64 and not walk.flips.flags.writeable
     rows = walk.position_words()
     assert rows.dtype == np.uint64 and rows.shape == (201, (N + 63) // 64)
@@ -76,7 +76,7 @@ def test_word_rows_agree_across_layers(N):
     assert np.array_equal(empty.position_words(), start.words()[None])
     if N <= 64:
         kernel = np.empty(walk.length + 1, dtype=np.uint64)
-        aging._walk_into(kernel, np.uint64(start.bits), walk.flips)
+        _walk_into(kernel, np.uint64(start.bits), walk.flips)
         assert np.array_equal(kernel, rows[:, 0])
 
 

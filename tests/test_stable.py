@@ -300,9 +300,16 @@ def test_range_miss_small_window_trend():
         (lambda: first_passage_values(0.5, 1.0, 0.0, 10, RngStream(1, 1)), "need t > 0 and K > 0"),
         (lambda: first_passage_values(0.5, 0.0, 1.0, 10, RngStream(1, 1)), "need t > 0 and K > 0"),
         (lambda: range_miss_prob_mc(0.5, 1.0, 0.0, 10, RngStream(1, 1)), "s must be > 0"),
+        (lambda: sample_subordinator(0.5, math.nan, [1.0], RngStream(1, 1)), "K must be >= 0"),
+        (lambda: first_passage_values(0.5, 1.0, math.nan, 10, RngStream(1, 1)),
+         "need t > 0 and K > 0"),
+        (lambda: first_passage_values(0.5, math.nan, 1.0, 10, RngStream(1, 1)),
+         "need t > 0 and K > 0"),
+        (lambda: range_miss_prob_mc(0.5, 1.0, math.nan, 10, RngStream(1, 1)), "s must be > 0"),
     ],
     ids=["path_grid", "path_values", "alpha", "K", "empty_grid", "2d_grid", "negative_grid",
-         "flat_grid", "passage_t", "passage_K", "window_s"],
+         "flat_grid", "passage_t", "passage_K", "window_s", "K_nan", "passage_t_nan",
+         "passage_K_nan", "window_s_nan"],
 )
 def test_stable_guards(call, message):
     with pytest.raises(ValueError, match=message):

@@ -15,6 +15,9 @@ the parent first when i is even and the change first when it is odd.
 - Workloads: `perfbench/run.py --workload W --seed S --trace 0`, one pair
   per seed, each run as long as BENCHMARK.json's `run_seconds`. Every
   end-to-end metric of the change's BENCHMARK.json is kept.
+- Digests: one `--seconds 0` round of each workload per side, at the first
+  seed; both output digests are kept, and whether they match. The digest
+  of a timed run depends on how many rounds fit, so only these compare.
 - `--tests`: the named tests under pytest, one pair per `--test-pairs`; the
   call time of each test (from `--durations=0`) is kept. These are the
   figures for acceptance-criterion times.
@@ -59,14 +62,16 @@ def _run(cmd: list[str], root: Path, timeout: float) -> subprocess.CompletedProc
                           timeout=timeout)
 
 
-def bench(root: Path, workload: str, seed: int, trace: int) -> dict:
+def bench(root: Path, workload: str, seed: int, trace: int, *extra: str) -> dict:
     res = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--trace", str(trace)], root, 1800)
+                "--trace", str(trace), *extra], root, 1800)
     if res.returncode != 0:
         raise SystemExit(f"{root}: {workload} seed {seed} exited {res.returncode}\n{res.stderr}")
-    result = json.loads(res.stdout.strip().splitlines()[-1])
+    lines = res.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     values = {k: m["value"] for k, m in result["metrics"].items()}
-    return {"correct": result["correct"], "values": values}
+    digest = next(ln.split()[-1] for ln in lines if ln.startswith(f"{workload}  digest "))
+    return {"correct": result["correct"], "values": values, "digest": digest}
 
 
 def pytest_times(root: Path, args: list[str], tests: list[str]) -> dict:
@@ -162,6 +167,10 @@ def main(argv=None) -> int:
 
     for w in args.workloads:
         out["workloads"][w] = paired(w, 0, spec["end_to_end"], len(seeds))
+        digests = {side: bench(root, w, seeds[0], 0, "--seconds", "0")["digest"]
+                   for side, root in roots.items()}
+        out["workloads"][w]["digest"] = {"seed": seeds[0], **digests,
+                                         "match": digests["parent"] == digests["change"]}
     if args.trace_pairs:
         w = args.workloads[0]
         out["layers"] = {"workload": w, **paired(w, 1, spec["per_layer"], args.trace_pairs)}
