@@ -39,28 +39,24 @@ walk per group, broadcast against the group's per-replica traps and waits.
 Replicas run in batches of 32; batches and frozen-chain groups each own
 their random streams, so the results depend on the batch size and the
 chunk length but not on where the batches run. A REM call predicted to
-take under `_POOL_STEPS` walk steps (`_aging_work`) runs them inline, one
-after another; larger REM calls and every p-spin call of two or more
-batches run them on the processes of one persistent pool, one per core,
-forked on first use (`_run_jobs`).
+take under `core._POOL_STEPS` walk steps (`_aging_work`) runs them inline,
+one after another; larger REM calls and every p-spin call of two or more
+batches run them on the processes of the package's one persistent pool,
+one per core, forked on first use (`core._run_jobs`), which the range-miss
+groups of `stable` share.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
 import numbers
-import os
-import sys
-import threading
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri_exp
 
-from .core import ModelParams, RngStream, gaussian_from_bits, mix64_inplace
+from .core import ModelParams, RngStream, _run_jobs, gaussian_from_bits, mix64_inplace
 from .hamiltonian import PSpinDisorder
 from .hypercube import _walk_into, hamming_u64
 from .stable import arcsine_cdf
@@ -158,101 +154,6 @@ def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
     except OverflowError:
         return math.inf
     return replicas * r1 * horizon**alpha / math.gamma(1.0 + alpha)
-
-
-def _cpu_count() -> int:
-    """Cores this process may run on: the size of the process pool."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-# predicted step work (`_aging_work`) from which a call runs on the worker
-# processes; smaller calls, such as the CLI presets, run inline, since
-# forking the pool (about 20 ms) and pickling jobs cost more than they save
-_POOL_STEPS = 1e6
-
-# the worker processes (a ProcessPoolExecutor), forked on first use and
-# kept for later calls
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _process_pool():
-    """The module's process pool, one worker per core (`_cpu_count`), forked
-    on first use and again only after one of its workers died (`_drop_pool`).
-
-    Workers are forked: fork needs no helper process and its workers start
-    at once, where a forkserver's first call took about 0.6 s. A worker's
-    p-spin contractions run OpenBLAS on one thread, as every caller's do
-    (`PSpinDisorder.energy_of_words`), and Python's exit hook for
-    `concurrent.futures` joins the workers when the interpreter exits."""
-    # imported by the first pooled call, so that a process that never pools
-    # does not carry the process machinery (about 0.5 MB)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ProcessPoolExecutor(
-                _cpu_count(), mp_context=multiprocessing.get_context("fork")
-            )
-        return _pool
-
-
-def _drop_pool(pool) -> None:
-    """Forget `pool` and shut it down: after one of its workers died, so that
-    the next call forks a new one, and at exit (`_close_pool`)."""
-    global _pool
-    with _pool_lock:
-        if _pool is pool:
-            _pool = None
-    pool.shutdown()
-
-
-@atexit.register
-def _close_pool() -> None:
-    """Drop the pool at exit, while the modules its finalizer uses still
-    exist; collected later, in module teardown, it prints an ignored
-    AttributeError. `concurrent.futures` has joined the workers by then."""
-    if _pool is not None:
-        _drop_pool(_pool)
-
-
-def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
-    """[fn(*job) for job in jobs], inline or on the process pool.
-
-    Every job owns its random streams, so neither where the jobs run nor the
-    order in which they finish changes a result. The jobs run inline, one
-    after another, when there is one job or one core, when the predicted
-    step work `work` (`_aging_work`) is under `_POOL_STEPS`, or off Linux.
-    Otherwise they run on the module's process pool (`_process_pool`), up to
-    one job per core at a time. Pooled jobs and results are pickled: `fn` is
-    a module-level function and its arguments are stream handles and
-    scalars. The workers are forked once and keep every module as it was at
-    that moment: a module attribute changed later (a test's monkeypatch)
-    never reaches them, and one changed before the fork stays in them, so
-    code that patches must keep its calls off the pool. A failed job fails
-    the call and cancels its jobs not yet started; a dead worker breaks the
-    pool, and the next call forks a new one.
-    """
-    if (min(_cpu_count(), len(jobs)) <= 1 or work < _POOL_STEPS
-            or sys.platform != "linux"):
-        return [fn(*job) for job in jobs]
-    pool = _process_pool()
-    futures = []
-    try:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
-    except BrokenExecutor:  # a worker died: the pool is broken
-        _drop_pool(pool)
-        raise
-    finally:
-        # after a failed job, the others need not run
-        for f in futures:
-            f.cancel()
 
 
 def _clock_series(
@@ -482,7 +383,7 @@ def _run_batches(params: ModelParams, mode: str, t: float, s: float, step_cap: i
                  dropped: float, batches: list[tuple]) -> list:
     """`_batch_job` of each of `batches`, a tuple (key_rng, lo, hi, walk_rng,
     wait_rng, shared_walk), at the call's `_kernel_scales`; the jobs run
-    inline or on the process pool (`_run_jobs`), in the order given."""
+    inline or on the process pool (`core._run_jobs`), in the order given."""
     scales = _kernel_scales(params, t, s, step_cap, dropped)
     jobs = [(params, mode, *batch, step_cap, *scales) for batch in batches]
     # p-spin batches go to the pool: `_aging_work` prices a step like a REM

@@ -5,7 +5,9 @@ Everything downstream shares three conventions defined here:
 * parameters travel as an immutable :class:`ModelParams`;
 * randomness is counter-based: a :class:`RngStream` is a pure value
   (master_seed, stream_id) and every draw is a function of it, so replicas
-  parallelize without shared state;
+  parallelize without shared state: jobs that own their streams run inline
+  or on one persistent fork pool of worker processes (:func:`_run_jobs`),
+  which the aging batches and the range-miss groups share;
 * quantities of the form exp(beta*sqrt(N)*H) are accumulated either in the
   linear domain (desk-scale N fits in float64) or in the log domain via
   :func:`log_cumsum_exp`.
@@ -13,8 +15,13 @@ Everything downstream shares three conventions defined here:
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import sys
+import threading
 import warnings
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,6 +149,108 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on: the size of the process pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# predicted step work from which a call runs on the worker processes
+# (`aging._aging_work`); smaller calls, such as the CLI's aging preset, run
+# inline, since forking the pool (about 20 ms) and pickling jobs cost more
+# than they save
+_POOL_STEPS = 1e6
+
+# the worker processes (a ProcessPoolExecutor), forked on first use and
+# kept for later calls
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _process_pool():
+    """The package's process pool, one worker per core (`_cpu_count`), forked
+    on first use and again only after one of its workers died (`_drop_pool`).
+
+    Workers are forked: fork needs no helper process and its workers start
+    at once, where a forkserver's first call took about 0.6 s. A worker's
+    p-spin contractions run OpenBLAS on one thread, as every caller's do
+    (`PSpinDisorder.energy_of_words`), and Python's exit hook for
+    `concurrent.futures` joins the workers when the interpreter exits."""
+    # imported by the first pooled call, so that a process that never pools
+    # does not carry the process machinery (about 0.5 MB)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ProcessPoolExecutor(
+                _cpu_count(), mp_context=multiprocessing.get_context("fork")
+            )
+        return _pool
+
+
+def _drop_pool(pool) -> None:
+    """Forget `pool` and shut it down: after one of its workers died, so that
+    the next call forks a new one, and at exit (`_close_pool`)."""
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
+    pool.shutdown()
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Drop the pool at exit, while the modules its finalizer uses still
+    exist; collected later, in module teardown, it prints an ignored
+    AttributeError. `concurrent.futures` has joined the workers by then."""
+    if _pool is not None:
+        _drop_pool(_pool)
+
+
+def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
+    """[fn(*job) for job in jobs], inline or on the process pool.
+
+    Every job owns its random streams, so neither where the jobs run nor the
+    order in which they finish changes a result. The jobs run inline, one
+    after another, when there is one job or one core, when the predicted
+    step work `work` is under `_POOL_STEPS` (a caller that always pools
+    passes inf), or off Linux. Otherwise they run on the package's process
+    pool (`_process_pool`), up to one job per core at a time. Pooled jobs
+    and results are pickled: `fn` is a module-level function and its
+    arguments are stream handles and scalars. The workers are forked once
+    and keep every module as it was at that moment: a module attribute
+    changed later (a test's monkeypatch) never reaches them, and one changed
+    before the fork stays in them, so code that patches must keep its calls
+    off the pool. A failed job fails the call and cancels its jobs not yet
+    started; a dead worker breaks the pool, and the next call forks a new
+    one.
+    """
+    if (min(_cpu_count(), len(jobs)) <= 1 or work < _POOL_STEPS
+            or sys.platform != "linux"):
+        return [fn(*job) for job in jobs]
+    pool = _process_pool()
+    futures = []
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
+    except BrokenExecutor:  # a worker died: the pool is broken
+        _drop_pool(pool)
+        raise
+    finally:
+        # after a failed job, the others need not run
+        for f in futures:
+            f.cancel()
 
 
 @dataclass(frozen=True)

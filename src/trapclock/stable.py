@@ -15,6 +15,14 @@ step while many are live, more as they retire), and a replica stops at its
 first grid value above t. The residual discretization bias is one-sided
 (toward over-reporting misses) and of the order of the coarse step, well
 under the Monte Carlo error.
+
+Replicas are simulated in fixed groups of 1024 (`_PASSAGE_GROUP`), each
+keyed by its index: group g draws from ``rng.substream(g)`` alone, so the
+values do not depend on how many workers run the groups or where. A call
+of one group runs inline; a call of two or more runs its groups on the
+package's process pool, one worker per core (`core._run_jobs`), inline on
+one core or off Linux. The range-miss functions therefore take an
+`RngStream`, not a generator.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .core import as_generator
+from .core import RngStream, _run_jobs, as_generator
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,8 @@ class SubordinatorPath:
     K: float
 
     def __post_init__(self):
-        if (self.grid[1:] <= self.grid[:-1]).any():
+        # written so that a NaN grid point fails the test
+        if not (self.grid[1:] > self.grid[:-1]).all():
             raise ValueError("grid must be strictly increasing")
         if (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must be nondecreasing")
@@ -76,7 +85,7 @@ def sample_subordinator(alpha: float, K: float, grid, rng) -> SubordinatorPath:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    if grid[0] < 0 or (grid[1:] <= grid[:-1]).any():
+    if not grid[0] >= 0 or not (grid[1:] > grid[:-1]).all():  # NaN fails too
         raise ValueError("grid must be nonnegative and strictly increasing")
     if K == 0.0:
         return SubordinatorPath(grid, np.zeros_like(grid), alpha, K)
@@ -109,10 +118,15 @@ def arcsine_cdf(alpha: float, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# draws per first-passage pass, spread over the live replicas: a pass takes
-# max(1, _PASSAGE_ELEMENTS // live) steps per replica, so one step while more
-# than half this many are live (cf. `aging._chunk_length`)
+# draws per first-passage pass, spread over a group's live replicas: a pass
+# takes max(1, _PASSAGE_ELEMENTS // live) steps per replica, so one step
+# while more than half this many are live (cf. `aging._chunk_length`)
 _PASSAGE_ELEMENTS = 1 << 14
+
+# replicas per first-passage group: the unit of the range-miss streams and
+# of the work handed to each core (512 and 2048 ran no faster at 4000
+# replicas on two cores)
+_PASSAGE_GROUP = 1024
 
 
 def _passage_block(v, draws, scale_c, scale_f, switch) -> np.ndarray:
@@ -147,7 +161,7 @@ def first_passage_values(
     K: float,
     t: float,
     replicas: int,
-    rng,
+    rng: RngStream,
 ) -> np.ndarray:
     """V at the first grid point where the path exceeds level t, per replica.
 
@@ -156,16 +170,39 @@ def first_passage_values(
     of steps per pass (`_passage_block`). All window queries at this level
     t (any s) can be answered from the returned values, and coupling across
     s is pathwise exact.
+
+    Replicas run in groups of `_PASSAGE_GROUP` (1024), in order; group g
+    draws only from ``rng.substream(g).generator()`` (`_passage_group`).
+    One group runs inline and two or more on the process pool
+    (`core._run_jobs`); the values depend on the group size but not on
+    where the groups run. `rng` must be an `RngStream`.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if not t > 0 or not K > 0:
         raise ValueError("need t > 0 and K > 0")
+    if replicas < 0:
+        raise ValueError("replicas must be >= 0")
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream, got {type(rng)!r}")
+    jobs = [(alpha, K, t, min(_PASSAGE_GROUP, replicas - lo), rng.substream(g))
+            for g, lo in enumerate(range(0, replicas, _PASSAGE_GROUP))]
+    if not jobs:
+        return np.empty(0)
+    return np.concatenate(_run_jobs(_passage_group, jobs, math.inf))
+
+
+def _passage_group(alpha: float, K: float, t: float, replicas: int,
+                   rng: RngStream) -> np.ndarray:
+    """First-passage values of one group of replicas, every draw from
+    ``rng.generator()``: each pass draws a (block, live) matrix of steps,
+    block = max(1, `_PASSAGE_ELEMENTS` // live), and retires the replicas
+    that pass t inside it."""
     base = t**alpha / K  # first-passage time scale
     dt_coarse = 5e-3 * base
     dt_fine = 5e-4 * base
     margin = 0.1 * t
-    gen = as_generator(rng)
+    gen = rng.generator()
     out = np.empty(replicas)
     v = np.zeros(replicas)
     pos = np.arange(replicas)
@@ -197,13 +234,14 @@ def range_miss_prob_mc(
     t: float,
     s: float,
     replicas: int,
-    rng,
+    rng: RngStream,
     K: float = 1.0,
 ) -> tuple[float, float]:
     """P[the range of V avoids the open window (t, t+s)], by Monte Carlo.
 
     Equals P[V at first passage above t lands at or beyond t+s] because the
     path is increasing; the limit law says this is arcsine_cdf(alpha, t/(t+s)).
+    The values come from `first_passage_values` on `rng`, an `RngStream`.
     Returns (estimate, stderr).
     """
     if not s > 0:

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from trapclock import aging, hamiltonian, hypercube
+from trapclock import aging, core, hamiltonian, hypercube
 from trapclock.aging import (
     AgingEstimate,
     aging_curve,
@@ -487,14 +487,14 @@ def _off_the_pool(monkeypatch):
     def no_pool():
         raise AssertionError("a patched kernel call reached the process pool")
 
-    monkeypatch.setattr(aging, "_process_pool", no_pool)
+    monkeypatch.setattr(core, "_process_pool", no_pool)
 
 
 def _inline(monkeypatch):
     # a p-spin call of two or more batches goes to the pool whatever its
     # size; on one core it runs inline, where a patch reaches it
     _off_the_pool(monkeypatch)
-    monkeypatch.setattr(aging, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 1)
 
 
 def _pspin_kernel_bytes():
@@ -601,8 +601,8 @@ def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
     pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
     for workers, pool_steps in [(1, math.inf), (2, 0), (3, 0)]:
-        monkeypatch.setattr(aging, "_cpu_count", lambda w=workers: w)
-        monkeypatch.setattr(aging, "_POOL_STEPS", pool_steps)
+        monkeypatch.setattr(core, "_cpu_count", lambda w=workers: w)
+        monkeypatch.setattr(core, "_POOL_STEPS", pool_steps)
         arrays = []
         for cap in caps:
             for replicas in (70, 1000):
@@ -644,10 +644,10 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
         pytest.skip("numpy ships no scipy-openblas library here")
     get, put = api
     threads = get()
-    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     try:
         put(2)
-        for pid, seen, before, after in aging._run_jobs(_pooled_fold_threads, [()] * 4, math.inf):
+        for pid, seen, before, after in core._run_jobs(_pooled_fold_threads, [()] * 4, math.inf):
             assert pid != os.getpid() and seen == [1] and after == before
         assert get() == 2
     finally:
@@ -661,11 +661,11 @@ def test_pool_failure_reaches_the_caller(monkeypatch, fn, job, error):
     # a job that raises, or a worker that dies, fails the call that ran it,
     # and the next call runs on a working pool; an earlier call may have
     # forked the pool with the host's core count
-    cores = aging._cpu_count()
-    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    cores = core._cpu_count()
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     with pytest.raises(error):
-        aging._run_jobs(fn, [job, job], math.inf)
-    pids = aging._run_jobs(os.getpid, [()] * 4, math.inf)
+        core._run_jobs(fn, [job, job], math.inf)
+    pids = core._run_jobs(os.getpid, [()] * 4, math.inf)
     assert os.getpid() not in pids and len(set(pids)) <= max(cores, 2)
 
 
@@ -734,8 +734,8 @@ def test_large_calls_go_to_the_pool_and_small_ones_inline(monkeypatch):
     def pool():
         raise _Pooled
 
-    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(aging, "_process_pool", pool)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "_process_pool", pool)
     assert aging._aging_work(rem, 1.0 + 1e-5, 40) > 4.4e6
     for call in (lambda: estimate_aging(rem, 1.0, 1e-5, 0.3, 40),
                  lambda: aging_curve(rem, [0.2], 1.0, 0.3, 64),
@@ -768,15 +768,15 @@ def test_large_calls_run_inline_off_linux(monkeypatch):
     # the pool is forked, so only Linux uses it: elsewhere a call predicted
     # above `_POOL_STEPS` runs inline, and gives the bytes it gives pooled
     replicas, cap = 480, aging._step_cap(PARAMS, 2.0, 8.0)
-    assert aging._aging_work(PARAMS, 2.0, replicas) > aging._POOL_STEPS
+    assert aging._aging_work(PARAMS, 2.0, replicas) > core._POOL_STEPS
 
     def kernel_bytes():
         return [a.tobytes() for a in aging._aging_kernel(
             PARAMS, 1.0, 1.0, replicas, RngStream(41, 29), cap)]
 
-    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     pooled = kernel_bytes()
-    monkeypatch.setattr(aging.sys, "platform", "darwin")
+    monkeypatch.setattr(core.sys, "platform", "darwin")
     _off_the_pool(monkeypatch)
     _no_threads(monkeypatch)
     assert kernel_bytes() == pooled
@@ -790,8 +790,8 @@ def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
     # small calls start no thread; the pool's workers live on, the same ones
     # for every pooled call, until the interpreter exits and joins them; an
     # earlier call may have forked the pool with the host's core count
-    cores = aging._cpu_count()
-    monkeypatch.setattr(aging, "_cpu_count", lambda: 2)
+    cores = core._cpu_count()
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     before = threading.active_count()
     estimate_aging(PARAMS, 1.0, 1.0, 0.3, 240, rng=RngStream(41, 26))
     assert threading.active_count() == before
@@ -801,17 +801,17 @@ def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
     estimate_aging(PARAMS, 1.0, 1.0, 0.3, 1100, rng=RngStream(41, 26))
     workers = _worker_pids()
     assert 0 < len(workers) <= max(cores, 2)
-    monkeypatch.setattr(aging, "_POOL_STEPS", 0)
+    monkeypatch.setattr(core, "_POOL_STEPS", 0)
     estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
     assert _worker_pids() == workers
-    assert set(aging._run_jobs(os.getpid, [()] * 8, math.inf)) <= workers
+    assert set(core._run_jobs(os.getpid, [()] * 8, math.inf)) <= workers
 
     script = (
         "import multiprocessing\n"
-        "from trapclock import aging\n"
+        "from trapclock import aging, core\n"
         "from trapclock.core import ModelParams, RngStream\n"
-        "aging._cpu_count = lambda: 2\n"
-        "aging._POOL_STEPS = 0\n"
+        "core._cpu_count = lambda: 2\n"
+        "core._POOL_STEPS = 0\n"
         "aging.estimate_aging(ModelParams(N=12, p=3, beta=2.0, gamma=2.0), 1.0, 1.0, 0.3, 96,\n"
         "                     rng=RngStream(41, 26))\n"
         "print(*(child.pid for child in multiprocessing.active_children()))\n"

@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trapclock import stable
+from trapclock import core, stable
 from trapclock.core import RngStream
 from trapclock.stable import (
     SubordinatorPath,
@@ -215,25 +215,30 @@ def test_passage_block_matches_a_per_step_loop():
 
 def _passage_by_steps(alpha, K, t, replicas, rng, elements):
     # first passage one replica and one step at a time, on the draws of the
-    # passes `first_passage_values` makes with this element budget
+    # passes `first_passage_values` makes with this element budget, group g
+    # of `_PASSAGE_GROUP` replicas on the stream rng.substream(g)
     base = t**alpha / K
     scale_c = (K * 5e-3 * base) ** (1.0 / alpha)
     scale_f = (K * 5e-4 * base) ** (1.0 / alpha)
-    gen = rng.generator()
-    v, out, live = [0.0] * replicas, [None] * replicas, list(range(replicas))
-    while live:
-        block = max(1, elements // len(live))
-        draws = sample_one_sided_stable(alpha, (block, len(live)), gen)
-        still = []
-        for col, r in enumerate(live):
-            for value in _per_step(v[r], draws[:, col], scale_c, scale_f, t - 0.1 * t):
-                if value > t:
-                    out[r] = value
-                    break
-            else:
-                v[r] = value
-                still.append(r)
-        live = still
+    out = []
+    for g, lo in enumerate(range(0, replicas, stable._PASSAGE_GROUP)):
+        size = min(stable._PASSAGE_GROUP, replicas - lo)
+        gen = rng.substream(g).generator()
+        v, group, live = [0.0] * size, [None] * size, list(range(size))
+        while live:
+            block = max(1, elements // len(live))
+            draws = sample_one_sided_stable(alpha, (block, len(live)), gen)
+            still = []
+            for col, r in enumerate(live):
+                for value in _per_step(v[r], draws[:, col], scale_c, scale_f, t - 0.1 * t):
+                    if value > t:
+                        group[r] = value
+                        break
+                else:
+                    v[r] = value
+                    still.append(r)
+            live = still
+        out += group
     return np.array(out)
 
 
@@ -254,14 +259,53 @@ def test_first_passage_step_budget_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha, K, t, replicas, digest", [
-    (0.5, 1.0, 1.0, 2000, "9bd62036d5514712e0e683f1ad044aae60bfa469880f46ddb94d2900158565c5"),
-    (0.3, 2.0, 0.5, 500, "56f2d0aed31669711abc3cbfb7f04884fabc2573bb9ae6813020bea82425db2e"),
+    (0.5, 1.0, 1.0, 2000, "e4ced48a4348331dd66a7b6d57d41fd367ca77b082dbe079cb72be960acd5f31"),
+    (0.3, 2.0, 0.5, 500, "ebe04b90e9c4ed15c6eebff3874ac309b3c06170c49cab0a01f2a0fa3d8e415a"),
 ], ids=["a0.5", "a0.3"])
 def test_first_passage_stream_is_pinned(alpha, K, t, replicas, digest):
     # SHA-256 of the first-passage values at a fixed stream and size; a
     # change that alters the range-miss stream on purpose updates it
     vals = first_passage_values(alpha, K, t, replicas, RngStream(66, 4))
     assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+
+
+def test_first_passage_ignores_worker_count(monkeypatch):
+    # 2100 replicas are three groups of up to 1024, the last one short: the
+    # same bytes inline (one core, or off Linux) and on the process pool at
+    # 2 and 3 workers
+    real_pool, pooled = core._process_pool, []
+
+    def recording_pool():
+        pooled.append(True)
+        return real_pool()
+
+    monkeypatch.setattr(core, "_process_pool", recording_pool)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_cpu_count", lambda w=workers: w)
+        runs.append(first_passage_values(0.5, 1.0, 1.0, 2100, RngStream(66, 5)).tobytes())
+        assert len(pooled) == workers - 1
+    monkeypatch.setattr(core.sys, "platform", "darwin")
+    runs.append(first_passage_values(0.5, 1.0, 1.0, 2100, RngStream(66, 5)).tobytes())
+    assert len(pooled) == 2
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_first_passage_group_reads_its_own_stream():
+    # group g's slice is a one-group call on rng.substream(g)
+    rng, size = RngStream(66, 5), stable._PASSAGE_GROUP
+    vals = first_passage_values(0.5, 1.0, 1.0, 2100, rng)
+    for g, lo in enumerate(range(0, 2100, size)):
+        hi = min(lo + size, 2100)
+        group = stable._passage_group(0.5, 1.0, 1.0, hi - lo, rng.substream(g))
+        assert vals[lo:hi].tobytes() == group.tobytes()
+
+
+@pytest.mark.parametrize("call", [first_passage_values, range_miss_prob_mc],
+                         ids=["passage", "range_miss"])
+def test_range_miss_takes_a_stream_only(call):
+    with pytest.raises(TypeError, match="expected RngStream"):
+        call(0.5, 1.0, 1.0, 10, RngStream(66, 6).generator())
 
 
 def test_range_miss_matches_arcsine():
@@ -297,9 +341,19 @@ def test_range_miss_small_window_trend():
          "nonnegative and strictly increasing"),
         (lambda: sample_subordinator(0.5, 1.0, [1.0, 1.0], RngStream(1, 1)),
          "nonnegative and strictly increasing"),
+        (lambda: sample_subordinator(0.5, 1.0, [0.5, math.nan], RngStream(1, 1)),
+         "nonnegative and strictly increasing"),
+        (lambda: sample_subordinator(0.5, 1.0, [math.nan, 0.5], RngStream(1, 1)),
+         "nonnegative and strictly increasing"),
+        (lambda: sample_subordinator(0.5, 1.0, [math.nan], RngStream(1, 1)),
+         "nonnegative and strictly increasing"),
+        (lambda: SubordinatorPath(np.array([0.0, math.nan]), np.zeros(2), 0.5, 1.0),
+         "grid must be strictly increasing"),
         (lambda: first_passage_values(0.5, 1.0, 0.0, 10, RngStream(1, 1)), "need t > 0 and K > 0"),
         (lambda: first_passage_values(0.5, 0.0, 1.0, 10, RngStream(1, 1)), "need t > 0 and K > 0"),
         (lambda: range_miss_prob_mc(0.5, 1.0, 0.0, 10, RngStream(1, 1)), "s must be > 0"),
+        (lambda: first_passage_values(0.5, 1.0, 1.0, -1, RngStream(1, 1)),
+         "replicas must be >= 0"),
         (lambda: sample_subordinator(0.5, math.nan, [1.0], RngStream(1, 1)), "K must be >= 0"),
         (lambda: first_passage_values(0.5, 1.0, math.nan, 10, RngStream(1, 1)),
          "need t > 0 and K > 0"),
@@ -308,7 +362,8 @@ def test_range_miss_small_window_trend():
         (lambda: range_miss_prob_mc(0.5, 1.0, math.nan, 10, RngStream(1, 1)), "s must be > 0"),
     ],
     ids=["path_grid", "path_values", "alpha", "K", "empty_grid", "2d_grid", "negative_grid",
-         "flat_grid", "passage_t", "passage_K", "window_s", "K_nan", "passage_t_nan",
+         "flat_grid", "nan_grid_point", "nan_first_grid_point", "nan_grid", "path_nan_grid",
+         "passage_t", "passage_K", "window_s", "passage_replicas", "K_nan", "passage_t_nan",
          "passage_K_nan", "window_s_nan"],
 )
 def test_stable_guards(call, message):

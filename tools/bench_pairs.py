@@ -14,7 +14,16 @@ the parent first when i is even and the change first when it is odd.
 
 - Workloads: `perfbench/run.py --workload W --seed S --trace 0`, one pair
   per seed, each run as long as BENCHMARK.json's `run_seconds`. Every
-  end-to-end metric of the change's BENCHMARK.json is kept.
+  end-to-end metric of the change's BENCHMARK.json is kept, and one figure
+  no bound gates, `children_peak_rss_mb`: the largest peak RSS of the run's
+  child processes (`RUSAGE_CHILDREN`, read by a wrapper that runs
+  `perfbench/run.py` in its own interpreter, after the pool workers are
+  joined at exit). Those children are the package's pool workers and the
+  set-up probes; `peak_rss_mb` (`RUSAGE_SELF`) sees neither. On Linux a
+  forked child's peak counts the pages it shares with the parent, and an
+  exec'd probe keeps the high-water mark of the address space it replaced,
+  so the figure is at least the parent's resident set when it last forked
+  or spawned a child: it shows a child only where one peaks above that.
 - Digests: one `--seconds 0` round of each workload per side, at the first
   seed; both output digests are kept, and whether they match. The digest
   of a timed run depends on how many rounds fit, so only these compare.
@@ -56,6 +65,21 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+# `python -c CHILDREN script args...` runs the script as `python script
+# args...` would; its exit hook, registered before the script's, runs after
+# theirs (the pool's shutdown joins the workers) and prints the children's
+# peak RSS as a JSON line on standard error
+CHILDREN = """\
+import atexit, json, os, resource, runpy, sys
+atexit.register(lambda: print(json.dumps({"children_peak_rss_mb": resource.getrusage(
+    resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}), file=sys.stderr))
+sys.argv = sys.argv[1:]
+sys.path[0] = os.path.dirname(os.path.abspath(sys.argv[0]))
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+CHILD_FIGURE = {"name": "children_peak_rss_mb", "unit": "MB", "better": "lower"}
+
+
 def _run(cmd: list[str], root: Path, timeout: float) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
@@ -63,13 +87,15 @@ def _run(cmd: list[str], root: Path, timeout: float) -> subprocess.CompletedProc
 
 
 def bench(root: Path, workload: str, seed: int, trace: int, *extra: str) -> dict:
-    res = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--trace", str(trace), *extra], root, 1800)
+    res = _run([sys.executable, "-c", CHILDREN, "perfbench/run.py", "--workload", workload,
+                "--seed", str(seed), "--trace", str(trace), *extra], root, 1800)
     if res.returncode != 0:
         raise SystemExit(f"{root}: {workload} seed {seed} exited {res.returncode}\n{res.stderr}")
     lines = res.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     values = {k: m["value"] for k, m in result["metrics"].items()}
+    values.update(json.loads(next(ln for ln in reversed(res.stderr.splitlines())
+                                  if ln.startswith('{"children_peak_rss_mb"'))))
     digest = next(ln.split()[-1] for ln in lines if ln.startswith(f"{workload}  digest "))
     return {"correct": result["correct"], "values": values, "digest": digest}
 
@@ -166,7 +192,7 @@ def main(argv=None) -> int:
         return entry
 
     for w in args.workloads:
-        out["workloads"][w] = paired(w, 0, spec["end_to_end"], len(seeds))
+        out["workloads"][w] = paired(w, 0, [*spec["end_to_end"], CHILD_FIGURE], len(seeds))
         digests = {side: bench(root, w, seeds[0], 0, "--seconds", "0")["digest"]
                    for side, root in roots.items()}
         out["workloads"][w]["digest"] = {"seed": seeds[0], **digests,
