@@ -9,41 +9,40 @@ generalized arcsine law ``arcsine_cdf(alpha, t/(t+s))`` with
 
 Everything here runs at fixed finite N, so the estimators are Monte Carlo
 over fresh environments (and, optionally, over environments with a frozen
-jump chain). One batch kernel serves the REM and the dense p-spin model,
-which in the source paper age alike: the walk, the clock and the crossing
-detection are shared, and only the site energies differ. A site is the
-one-word row of the configuration format `hypercube` defines (N <= 64, so
-the word is `SpinConfig.bits`), and `hypercube` builds the walk's rows
-(`_walk_into`). REM energies come from the counter-based
-hash of `RemDisorder`, so revisits see the same trap depth without storing
-the visited set; p-spin energies come from each replica's dense couplings
-(`PSpinDisorder.energy_of_words`), in that evaluator's row blocks, and a
-row's energies stop once its clock is past the second target at a block
-boundary, since nothing after its second crossing is read. That evaluator
-runs OpenBLAS on one thread, so each worker contracts alone. On the scale
-e**(gamma*N) the clock is carried by deep traps, so the REM kernel hashes
-every visited site but gives a depth, an exponential weight and a wait only
-to sites at or above a level z0; shallower visits add nothing. z0 is set
-per call so that the expected clock mass dropped up to the step cap is at
-most delta * t * e**(gamma*N), with delta = `_DROPPED_MASS` = 1e-6
-(`_deep_level`); delta = 0 is the exact kernel. So the clock is carried at
-deep steps only: a chunk lists each replica's deep steps and the clock
-after each, and the crossing search reads that list (`_clock_series`).
-Where more than a quarter of some row's steps are deep (delta = 0, small N
-or high temperature) and for p-spin rows, every step is listed; both forms
-give the same bytes. Walks advance in chunks and each replica retires as
-soon as both crossing times are known; a batch's chunks keep a fixed
-element budget, so its survivors run longer chunks, not more of them. The
-frozen-chain estimator runs the same batch code in shared-walk mode: one
-walk per group, broadcast against the group's per-replica traps and waits.
-Replicas run in batches of 32; batches and frozen-chain groups each own
-their random streams, so the results depend on the batch size and the
-chunk length but not on where the batches run. A REM call predicted to
-take under `core._POOL_STEPS` walk steps (`_aging_work`) runs them inline,
-one after another; larger REM calls and every p-spin call of two or more
-batches run them on the processes of the package's one persistent pool,
-one per core, forked on first use (`core._run_jobs`), which the range-miss
-groups of `stable` share.
+jump chain). One batch kernel serves the REM and the p-spin model, which in
+the source paper age alike: the walk, the clock and the crossing detection
+are shared, and only the site energies differ. A site is the one-word row
+of the configuration format `hypercube` defines (N <= 64, so the word is
+`SpinConfig.bits`), and `hypercube` builds the walk's rows (`_walk_into`).
+REM energies come from the counter-based hash of `RemDisorder`, so revisits
+see the same trap depth without storing the visited set; p-spin energies
+come from each replica's couplings, dense or hashed (`_landscapes`), in the
+row blocks of `PSpinDisorder.energy_of_words`, and a row's energies stop
+once its clock is past the second target at a block boundary, since nothing
+after its second crossing is read. That evaluator runs OpenBLAS on one
+thread, so each worker contracts alone. On the scale e**(gamma*N) the clock
+is carried by deep traps, so the REM kernel hashes every visited site but
+gives a depth, an exponential weight and a wait only to sites at or above a
+level z0; shallower visits add nothing. z0 is set per call so that the
+expected clock mass dropped up to the step cap is at most delta * t *
+e**(gamma*N), with delta = `_DROPPED_MASS` = 1e-6 (`_deep_level`); delta =
+0 is the exact kernel. So the clock is carried at deep steps only: a chunk
+lists each replica's deep steps and the clock after each, and the crossing
+search reads that list (`_clock_series`). Where more than a quarter of some
+row's steps are deep (delta = 0, small N or high temperature) and for
+p-spin rows, every step is listed; both forms give the same bytes. Walks
+advance in chunks and each replica retires as soon as both crossing times
+are known; a batch's chunks keep a fixed element budget, so its survivors
+run longer chunks, not more of them. The frozen-chain estimator runs the
+same batch code in shared-walk mode: one walk per group, broadcast against
+the group's per-replica traps and waits. Replicas run in batches of 32;
+batches and frozen-chain groups each own their random streams, so the
+results depend on the batch size and the chunk length but not on where the
+batches run. A REM call predicted to take under `core._POOL_STEPS` walk
+steps (`_aging_work`) runs them inline, one after another; larger REM calls
+and every p-spin call of two or more batches run them on the processes of
+the package's one persistent pool, one per core, forked on first use
+(`core._run_jobs`), which the range-miss groups of `stable` share.
 """
 
 from __future__ import annotations
@@ -77,6 +76,9 @@ _BATCH = 32
 # target t * e**(gamma*N): visits below the deep level add nothing
 # (`_deep_level`); 0 keeps every site and is the exact kernel
 _DROPPED_MASS = 1e-6
+
+# p-spin couplings a replica stores dense (16 MB, 512 MiB a batch); hashed above
+_DENSE_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,12 @@ def _check_kernel_domain(params: ModelParams) -> None:
 
 def _landscapes(params: ModelParams, mode: str, rng: RngStream, ids: np.ndarray):
     """One environment per replica id, from ``rng.substream(id)``: the hash
-    key of that stream's `RemDisorder` (uint64), or its dense
-    `PSpinDisorder` (an object array)."""
+    key of that stream's `RemDisorder` (uint64), or its `PSpinDisorder` (an
+    object array), stored dense up to `_DENSE_ENTRIES` couplings."""
     if mode == "rem":
         return np.array([rng.substream(int(i)).hash_key() for i in ids], dtype=np.uint64)
-    return np.array([PSpinDisorder(params.N, params.p, rng.substream(int(i)), "dense")
+    storage = "dense" if params.N**params.p <= _DENSE_ENTRIES else "hashed"
+    return np.array([PSpinDisorder(params.N, params.p, rng.substream(int(i)), storage)
                      for i in ids], dtype=object)
 
 
@@ -348,10 +351,10 @@ def _aging_kernel(
     """Simulate `replicas` independent clocks up to the second crossing.
 
     Replica i's landscape lives on ``rng.substream(1).substream(i)``: the
-    `RemDisorder` or (mode "pspin") the dense `PSpinDisorder` of that
-    stream. Replicas run in batches of ``_BATCH`` (32), each built inside
-    its job (`_batch_job`) with its own generator keyed by its first
-    replica; the batches run inline or on the process pool (`_run_batches`).
+    `RemDisorder` or (mode "pspin") the `PSpinDisorder` of that stream.
+    Replicas run in batches of ``_BATCH`` (32), each built inside its job
+    (`_batch_job`) with its own generator keyed by its first replica; the
+    batches run inline or on the process pool (`_run_batches`).
     A batch draws its flips and waits from that one generator, flips first in
     every chunk, and its chunks keep a fixed element budget
     (`_chunk_length`). So the results depend on ``_BATCH`` and the chunk
@@ -365,13 +368,10 @@ def _aging_kernel(
     coarse-block clock value above t*e**(gamma*N) (NaN where no block
     boundary got that far).
     """
-    if mode == "pspin":
-        if params.N**params.p > 2_000_000:
-            raise ValueError("p-spin aging kernel needs a small dense tensor")
-        if params.beta <= 0.0:
-            raise ValueError("p-spin kernel needs beta > 0")
-    elif mode != "rem":
+    if mode not in ("rem", "pspin"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "pspin" and params.beta <= 0.0:
+        raise ValueError("p-spin kernel needs beta > 0")
     key_rng, batch_rng = rng.substream(1), rng.substream(2)
     batches = [(key_rng, lo, min(lo + _BATCH, replicas), batch_rng.substream(lo),
                 batch_rng.substream(lo), False) for lo in range(0, replicas, _BATCH)]

@@ -73,7 +73,7 @@ def entropy_I(u):
     Convex on [0,1], zero at 1/2, log 2 at the endpoints (by limit).
     """
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("u must lie in [0,1]")
     val = _xlogx(arr) + _xlogx(1.0 - arr) + _LOG2
     return float(val) if np.ndim(u) == 0 else val
@@ -86,7 +86,7 @@ def phi(u, p: int):
     smoothed away.
     """
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("u must lie in [0,1]")
     denom = 1.0 + (1.0 - 2.0 * arr) ** p
     if np.any(denom <= 0):
@@ -137,7 +137,7 @@ def upsilon_tilde(params: RateFunctionParams, u):
         g <  split:  gamma^2/(2 beta^2) + beta^2 (1+g) - 2 gamma + eta ||u||
     """
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("u must lie in [0,1]")
     g = (1.0 - 2.0 * arr) ** params.p
     lead = params.gamma**2 / (2.0 * params.beta**2)
@@ -216,8 +216,8 @@ def zeta(p: int, tol: float = 1e-5, grid_points: int = 10_001) -> float:
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     grid = np.linspace(0.0, 0.5, grid_points)
     g = (1.0 - 2.0 * grid) ** p
     phi_g = g / (1.0 + g)
@@ -283,6 +283,8 @@ def xi_rate_check(
         raise ValueError("c must lie in (-1, 1)")
     if u <= 0 or v <= 0:
         raise ValueError("u and v must be > 0")
+    if not samples >= 2:
+        raise ValueError(f"samples must be >= 2, got {samples!r}")
     gen = as_generator(rng)
     N_arr = np.asarray(list(N_list), dtype=np.int64)
     log_xi = np.empty(len(N_arr), dtype=np.float64)

@@ -76,6 +76,8 @@ def block_laplace_mc(
     """
     if u < 0:
         raise ValueError("u must be >= 0")
+    if not samples >= 2:
+        raise ValueError(f"samples must be >= 2, got {samples!r}")
     if u == 0.0:
         return 0.0, 0.0
     coeffs = GammaCoefficients(params.N, params.p, params.nu())

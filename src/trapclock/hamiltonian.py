@@ -6,9 +6,9 @@ E[H(sigma) H(tau)] = overlap(sigma, tau)^p:
 * PSpinDisorder: the multilinear form N^{-p/2} sum_t J_t sigma_{i_1}...sigma_{i_p}
   over all ordered p-tuples (with repetition), J_t i.i.d. standard normal.
   The ordered-tuple convention makes the covariance identity exact, with no
-  diagonal corrections. Couplings live either in a dense tensor (small N) or
-  are produced on demand by a counter-based hash of the tuple index, which
-  removes the O(N^p) memory cost; hashing is the default above N = 25.
+  diagonal corrections. J_t hashes the tuple index t in either storage: a
+  dense tensor of all N^p couplings (the default up to N = 25), or one slab
+  hashed on demand, which removes the O(N^p) memory cost.
 * RemDisorder: the p -> infinity caricature, an i.i.d. standard normal per
   vertex, realized as a pure hash of the configuration bits so no table of
   size 2^N exists anywhere.
@@ -127,7 +127,8 @@ class _Landscape:
 
 
 class PSpinDisorder(_Landscape):
-    """p-spin coupling disorder, reproducible from (seed, N, p, mode)."""
+    """p-spin coupling disorder, reproducible from (seed, N, p); `mode` picks
+    the storage (the `couplings` tensor or hashed slabs) and nothing else."""
 
     def __init__(self, N: int, p: int, stream: RngStream, mode: str = "auto"):
         if p < 2:
@@ -155,12 +156,11 @@ class PSpinDisorder(_Landscape):
         # has one axis fewer than the tensor
         axes = p - (mode == "hashed")
         self.row_block = max(1, _FOLD_FLOATS // max(N, N ** (axes - 1)))
-        if mode == "dense":
-            self.couplings = stream.generator().standard_normal((N,) * p)
-            self._key = None
-        else:
-            self.couplings = None
-            self._key = stream.hash_key()
+        self._key = stream.hash_key()
+        # dense storage holds the slabs `_slab(i)` in order, bit for bit
+        self.couplings = None if mode == "hashed" else gaussian_from_hash(
+            self._key, np.arange(N**p, dtype=np.uint64)
+        ).reshape((N,) * p)
 
     @classmethod
     def from_seed(cls, seed: int, N: int, p: int) -> "PSpinDisorder":
@@ -169,8 +169,8 @@ class PSpinDisorder(_Landscape):
     # -- coupling access ----------------------------------------------------
 
     def _slab(self, i: int) -> np.ndarray:
-        """Hashed couplings of first index i, shape (N,)*(p-1): the ordered
-        tuple (i, j, ...) reads counter i N^{p-1} + j N^{p-2} + ..."""
+        """Couplings of first index i, shape (N,)*(p-1): the ordered tuple
+        (i, j, ...) reads counter i N^{p-1} + j N^{p-2} + ..."""
         size = self.N ** (self.p - 1)
         idx = np.arange(i * size, (i + 1) * size, dtype=np.uint64)
         return gaussian_from_hash(self._key, idx).reshape((self.N,) * (self.p - 1))

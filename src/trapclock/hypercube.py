@@ -184,6 +184,8 @@ def ehrenfest_hitting_linear_solve(k: int, l: int, m: int, N: int) -> float:
 
 def distance_distribution(N: int, k: int) -> np.ndarray:
     """Exact law of the distance from the start after k steps, over {0..N}."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     p = np.zeros(N + 1)

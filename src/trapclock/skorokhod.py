@@ -38,14 +38,14 @@ class CadlagStepPath:
     def __post_init__(self):
         jt = np.atleast_1d(np.asarray(self.jump_times, dtype=np.float64))
         vals = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError("T must be > 0")
         if jt.size != vals.size:
             raise ValueError("jump_times and values must have equal length")
         if jt.size:
-            if jt[0] <= 0 or jt[-1] > self.T:
+            if not (jt[0] > 0 and jt[-1] <= self.T):
                 raise ValueError("jump times must lie in (0, T]")
-            if np.any(np.diff(jt) <= 0):
+            if not (np.diff(jt) > 0).all():
                 raise ValueError("jump times must be strictly increasing")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "values", vals)

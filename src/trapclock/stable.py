@@ -107,7 +107,7 @@ def arcsine_cdf(alpha: float, x) -> float | np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     x = np.asarray(x, dtype=np.float64)
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("x must lie in [0,1]")
     out = scipy.special.betainc(alpha, 1.0 - alpha, x)
     return float(out) if out.ndim == 0 else out
@@ -246,6 +246,8 @@ def range_miss_prob_mc(
     """
     if not s > 0:
         raise ValueError("s must be > 0")
+    if not replicas >= 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas!r}")
     vstar = first_passage_values(alpha, K, t, replicas, rng)
     miss = (vstar >= t + s).astype(np.float64)
     est = float(miss.mean())

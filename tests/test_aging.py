@@ -259,9 +259,12 @@ def test_pspin_range_miss_sits_below_two_time():
 
 
 def test_pspin_mode_guards():
-    big = ModelParams(N=40, p=5, beta=1.0, gamma=0.5)
-    with pytest.raises(ValueError, match="dense tensor"):
-        estimate_aging(big, 0.5, 0.5, 0.3, 8, mode="pspin")
+    # N^p = 2085136 is past the dense storage bound: the couplings are
+    # hashed, not refused
+    big = ModelParams(N=38, p=4, beta=1.0, gamma=0.5)
+    assert big.N**big.p > aging._DENSE_ENTRIES
+    est = estimate_aging(big, 0.05, 0.05, 0.3, 4, mode="pspin")
+    assert est.excluded == 0 and 0.0 <= est.estimate <= 1.0
     null = ModelParams(N=8, p=3, beta=0.0, gamma=0.5)
     with pytest.raises(ValueError, match="beta > 0"):
         estimate_aging(null, 0.5, 0.5, 0.3, 8, mode="pspin")
@@ -964,13 +967,13 @@ def test_vstar_and_pspin_stream_are_pinned():
         PSPIN, 0.5, 0.5, 70, RngStream(41, 25), aging._step_cap(PSPIN, 1.0, 8.0), "pspin"
     )
     assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == (
-        "c6db01f21ca0f22f310fdb6e63d7bca217d7feb58555526b28a3eb6192a61411"
+        "11eee66db327dc072e8f5bf367fe03d2aaa0d4d9c9afba69edf126f065530d10"
     )
 
 
 @pytest.mark.parametrize("N, replicas, stream, digest", [
-    (16, 96, 26, "aea805e535d8f4303fe442ae85ee9ce109d7515a87b9f68729a9b37b7433fcb2"),
-    (20, 40, 27, "69a4119847bd2cccf4b4b2fd728f8d42d3df9bbfc0d7d9a75a5db4aa293731bc"),
+    (16, 96, 26, "fa0e68dc6e65c46605ffea07f8ad7c4cf99d0e3ae46f24905f7c91c20b19fb9e"),
+    (20, 40, 27, "b45688702ec79dd1e0d5165faa537d3d21ccf2f5efcf22ebcceb4ae8f98f5606"),
 ], ids=["N16", "N20"])
 def test_larger_pspin_streams_are_pinned(N, replicas, stream, digest):
     # SHA-256 of the whole dense p-spin kernel output at the N=10 gate's
@@ -1063,6 +1066,23 @@ def test_dropped_mass_outside_its_range_is_refused(dropped):
         aging._aging_kernel(PARAMS, 1, 1, 4, RngStream(41, 51), cap, dropped=dropped)
     with pytest.raises(ValueError, match="dropped mass"):
         aging._frozen_kernel(PARAMS, 1, 1, 4, 2, RngStream(41, 51), cap, dropped=dropped)
+
+
+def test_pspin_kernel_reads_the_same_couplings_in_either_storage(monkeypatch):
+    # one batch, so it runs inline and sees the patched storage bound
+    _off_the_pool(monkeypatch)
+    cap = aging._step_cap(PSPIN, 1.0, 8.0)
+
+    def run():
+        return aging._aging_kernel(PSPIN, 0.5, 0.5, 32, RngStream(41, 28), cap, "pspin")
+
+    dense = run()
+    monkeypatch.setattr(aging, "_DENSE_ENTRIES", 0)
+    assert aging._landscapes(PSPIN, "pspin", RngStream(41, 28), np.arange(1))[0].mode == "hashed"
+    hashed = run()
+    assert np.array_equal(dense[0], hashed[0])
+    assert np.array_equal(dense[1], hashed[1])
+    np.testing.assert_allclose(dense[2], hashed[2], rtol=1e-12)
 
 
 def test_pspin_landscapes_are_keyed_by_replica_index():

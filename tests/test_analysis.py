@@ -37,6 +37,16 @@ def test_entropy_domain():
         entropy_I(1.01)
 
 
+@pytest.mark.parametrize("u", [math.nan, np.array([0.2, math.nan])], ids=["scalar", "array"])
+def test_rate_functions_refuse_nan(u):
+    # NaN lies in no interval; it must not come back as log 2 or NaN
+    params = RateFunctionParams(p=3, beta=1.0, gamma=0.5)
+    for call in (entropy_I, lambda x: phi(x, 3), lambda x: upsilon(params, x),
+                 lambda x: upsilon_principal(params, x), lambda x: upsilon_tilde(params, x)):
+        with pytest.raises(ValueError, match=r"u must lie in \[0,1\]"):
+            call(u)
+
+
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 def test_entropy_midpoint_convex(a, b):
     mid = entropy_I(0.5 * (a + b))
@@ -264,8 +274,9 @@ def test_zeta_p3():
 def test_zeta_validation():
     with pytest.raises(ValueError):
         zeta(1)
-    with pytest.raises(ValueError):
-        zeta(3, tol=0.0)
+    for tol in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            zeta(3, tol=tol)
 
 
 def test_zeta_is_pinned():
@@ -318,3 +329,6 @@ def test_xi_rate_check_validation():
         xi_rate_check(1.0, 1.0, 0.5, 1.0, 1.0, [5], 10, RngStream(1, 1))
     with pytest.raises(ValueError):
         xi_rate_check(0.0, 1.0, 0.5, 0.0, 1.0, [5], 10, RngStream(1, 1))
+    # one sample has no spread to give a stderr from
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        xi_rate_check(0.0, 1.0, 0.5, 1.0, 1.0, [5], 1, RngStream(1, 1))

@@ -85,6 +85,14 @@ def test_block_laplace_rejects_unknown_method():
         block_laplace_mc(params, 1.0, 10, RngStream(1, 1), method="antithetic")
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_block_laplace_needs_two_samples(samples):
+    # fewer than two samples give no stderr
+    params = ModelParams(N=20, p=3, beta=1.0, gamma=0.6)
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        block_laplace_mc(params, 1.0, samples, RngStream(1, 1))
+
+
 def test_scaling_constant_zero_u():
     params = ModelParams(N=20, p=3, beta=1.0, gamma=0.6)
     rows = block_scaling_constant(params, 0.0, [16, 20], samples=100, rng=RngStream(1, 2))

@@ -56,6 +56,25 @@ def test_zeta_rejects_small_p(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_zeta_rejects_a_tolerance_outside_the_positive_reals(tmp_path, capsys, tol):
+    # NaN would reach zeta.json, which strict JSON cannot hold
+    assert main(["zeta", "--p", "3", "--tol", tol, "--out", str(tmp_path / "o")]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["block-laplace", "--beta", "1.0", "--gamma", "0.6", "--N-list", "16", "--u", "0.5",
+      "--samples", "1"], "samples"),
+    (["subordinator", "--alpha", "0.5", "--replicas", "0", "--grid-points", "11"], "replicas"),
+], ids=["block-laplace", "subordinator"])
+def test_too_few_samples_are_refused(tmp_path, capsys, argv, name):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_upsilon_curve_files(tmp_path):
     rc = main([
         "upsilon", "--p", "4", "--beta", "1.0", "--gamma", "0.5",

@@ -146,10 +146,24 @@ def test_dense_and_hashed_trajectory_energies_agree(N, p, steps):
     each walk spans at least three hashed row blocks."""
     hashed = PSpinDisorder(N, p, RngStream(21, p), mode="hashed")
     dense = PSpinDisorder(N, p, RngStream(21, p), mode="dense")
-    dense.couplings = np.stack([hashed._slab(i) for i in range(N)])
     traj = sample_walk(N, steps, RngStream(22, N))
     es = trajectory_energies(hashed, traj)
     assert np.max(np.abs(es - trajectory_energies(dense, traj))) < 1e-12
+
+
+@pytest.mark.parametrize("N, p", [(6, 3), (10, 3), (16, 3), (8, 4)])
+def test_dense_storage_holds_the_hashed_couplings(N, p):
+    # one coupling law: the stored tensor is the hashed slabs bit for bit,
+    # and the storage moves only the summation order of an energy
+    stream = RngStream(24, N * 10 + p)
+    dense = PSpinDisorder(N, p, stream, mode="dense")
+    hashed = PSpinDisorder(N, p, stream, mode="hashed")
+    assert dense.couplings.shape == (N,) * p
+    for i in range(N):
+        assert dense.couplings[i].tobytes() == hashed._slab(i).tobytes()
+    words = np.random.default_rng(N * p).integers(0, 2**N, size=(700, 1), dtype=np.uint64)
+    np.testing.assert_allclose(dense.energy_of_words(words), hashed.energy_of_words(words),
+                               rtol=1e-12, atol=1e-15)
 
 
 def _rem_reference_energy(dis, bits):

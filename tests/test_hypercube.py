@@ -142,6 +142,11 @@ def test_distance_distribution_is_a_distribution(N, k):
     assert (p >= -1e-15).all()
 
 
+def test_distance_distribution_needs_a_spin():
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        distance_distribution(0, 3)
+
+
 def test_distance_distribution_mixes_to_binomial():
     # desk-scale mixing bound with K = 1: k >= N^2 log N
     N = 10

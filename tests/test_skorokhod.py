@@ -97,6 +97,13 @@ def test_path_validation():
         CadlagStepPath(1.0, 0.0, np.array([1.5]), np.array([1.0]))
     with pytest.raises(ValueError):
         CadlagStepPath(1.0, 0.0, np.array([0.5, 0.5]), np.array([1.0, 2.0]))
+    # NaN is no horizon and no jump time
+    with pytest.raises(ValueError, match="T must be > 0"):
+        CadlagStepPath(np.nan, 0.0, np.array([]), np.array([]))
+    with pytest.raises(ValueError, match=r"lie in \(0, T\]"):
+        CadlagStepPath(1.0, 0.0, np.array([np.nan]), np.array([1.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CadlagStepPath(1.0, 0.0, np.array([0.2, np.nan, 0.8]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         SINGLE.value_at(2.5)
     # NaN is no point of [0, T]: refused, not read as the last level

@@ -164,6 +164,9 @@ def test_arcsine_cdf_rejects_bad_domain():
         arcsine_cdf(1.2, 0.5)
     with pytest.raises(ValueError):
         arcsine_cdf(0.5, 1.5)
+    for x in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"x must lie in \[0,1\]"):
+            arcsine_cdf(0.5, x)
 
 
 def test_first_passage_values_exceed_level():
@@ -360,11 +363,13 @@ def test_range_miss_small_window_trend():
         (lambda: first_passage_values(0.5, math.nan, 1.0, 10, RngStream(1, 1)),
          "need t > 0 and K > 0"),
         (lambda: range_miss_prob_mc(0.5, 1.0, math.nan, 10, RngStream(1, 1)), "s must be > 0"),
+        (lambda: range_miss_prob_mc(0.5, 1.0, 1.0, 0, RngStream(1, 1)),
+         "replicas must be >= 1"),
     ],
     ids=["path_grid", "path_values", "alpha", "K", "empty_grid", "2d_grid", "negative_grid",
          "flat_grid", "nan_grid_point", "nan_first_grid_point", "nan_grid", "path_nan_grid",
          "passage_t", "passage_K", "window_s", "passage_replicas", "K_nan", "passage_t_nan",
-         "passage_K_nan", "window_s_nan"],
+         "passage_K_nan", "window_s_nan", "window_replicas"],
 )
 def test_stable_guards(call, message):
     with pytest.raises(ValueError, match=message):
