@@ -77,9 +77,6 @@ _BATCH = 32
 # (`_deep_level`); 0 keeps every site and is the exact kernel
 _DROPPED_MASS = 1e-6
 
-# p-spin couplings a replica stores dense (16 MB, 512 MiB a batch); hashed above
-_DENSE_ENTRIES = 2_000_000
-
 
 @dataclass(frozen=True)
 class AgingEstimate:
@@ -135,11 +132,12 @@ def _check_kernel_domain(params: ModelParams) -> None:
 def _landscapes(params: ModelParams, mode: str, rng: RngStream, ids: np.ndarray):
     """One environment per replica id, from ``rng.substream(id)``: the hash
     key of that stream's `RemDisorder` (uint64), or its `PSpinDisorder` (an
-    object array), stored dense up to `_DENSE_ENTRIES` couplings."""
+    object array) in the auto storage: dense up to 2e6 couplings, hashed
+    above (the kernel runs 1.5 to 2.5 times faster on dense couplings at
+    N = 10 to 20, p = 3)."""
     if mode == "rem":
         return np.array([rng.substream(int(i)).hash_key() for i in ids], dtype=np.uint64)
-    storage = "dense" if params.N**params.p <= _DENSE_ENTRIES else "hashed"
-    return np.array([PSpinDisorder(params.N, params.p, rng.substream(int(i)), storage)
+    return np.array([PSpinDisorder(params.N, params.p, rng.substream(int(i)))
                      for i in ids], dtype=object)
 
 

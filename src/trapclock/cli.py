@@ -195,6 +195,9 @@ def _cmd_aging(args) -> None:
     work = _aging_work(params, args.t + args.s, args.replicas)
     work += _aging_work(params, args.t + args.s,
                         args.curve_points * args.curve_replicas)
+    if args.mode == "pspin":
+        # a p-spin step contracts N^p couplings where a REM step hashes once
+        work *= args.N**args.p
     if work > args.max_work:
         raise NonConclusive(
             f"estimated step work {work:.3e} exceeds --max-work "
@@ -408,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curve-points", type=int, default=0)
     sp.add_argument("--curve-replicas", type=int, default=1000)
     sp.add_argument("--max-work", type=float, default=4e9,
-                    help="refuse presets whose expected step count is larger")
+                    help="refuse presets whose expected step work is larger "
+                         "(a REM step counts 1, a p-spin step N^p)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_aging)
 

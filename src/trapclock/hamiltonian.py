@@ -7,8 +7,8 @@ E[H(sigma) H(tau)] = overlap(sigma, tau)^p:
   over all ordered p-tuples (with repetition), J_t i.i.d. standard normal.
   The ordered-tuple convention makes the covariance identity exact, with no
   diagonal corrections. J_t hashes the tuple index t in either storage: a
-  dense tensor of all N^p couplings (the default up to N = 25), or one slab
-  hashed on demand, which removes the O(N^p) memory cost.
+  dense tensor of all N^p couplings (the default up to 2e6 of them), or one
+  slab hashed on demand, which removes the O(N^p) memory cost.
 * RemDisorder: the p -> infinity caricature, an i.i.d. standard normal per
   vertex, realized as a pure hash of the configuration bits so no table of
   size 2^N exists anywhere.
@@ -41,8 +41,9 @@ import numpy as np
 from .core import RngStream, gaussian_from_hash, mix64_array
 from .hypercube import SpinConfig, WalkTrajectory
 
-_DENSE_MAX_ENTRIES = 16_000_000
-_DENSE_DEFAULT_MAX_N = 25
+# couplings the auto storage keeps dense (16 MB a disorder, 512 MiB for the
+# 32 replicas of an aging batch); hashed above
+_DENSE_MAX_ENTRIES = 2_000_000
 # floats in one row block of a many-configuration contraction
 _FOLD_FLOATS = 1 << 16
 
@@ -136,11 +137,7 @@ class PSpinDisorder(_Landscape):
         if N < 1:
             raise ValueError("N must be >= 1")
         if mode == "auto":
-            mode = (
-                "dense"
-                if N <= _DENSE_DEFAULT_MAX_N and N**p <= _DENSE_MAX_ENTRIES
-                else "hashed"
-            )
+            mode = "dense" if N**p <= _DENSE_MAX_ENTRIES else "hashed"
         if mode not in ("dense", "hashed"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "dense" and N**p > 200_000_000:
@@ -157,10 +154,14 @@ class PSpinDisorder(_Landscape):
         axes = p - (mode == "hashed")
         self.row_block = max(1, _FOLD_FLOATS // max(N, N ** (axes - 1)))
         self._key = stream.hash_key()
-        # dense storage holds the slabs `_slab(i)` in order, bit for bit
-        self.couplings = None if mode == "hashed" else gaussian_from_hash(
-            self._key, np.arange(N**p, dtype=np.uint64)
-        ).reshape((N,) * p)
+        self.couplings = None
+        if mode == "dense":
+            # the hashed slabs in order, a block of about _FOLD_FLOATS
+            # couplings at a time, so the build holds the tensor and one block
+            self.couplings = np.empty((N,) * p)
+            step = max(1, _FOLD_FLOATS // N ** (p - 1))
+            for lo in range(0, N, step):
+                self.couplings[lo : lo + step] = self._slabs(lo, min(lo + step, N))
 
     @classmethod
     def from_seed(cls, seed: int, N: int, p: int) -> "PSpinDisorder":
@@ -168,12 +169,12 @@ class PSpinDisorder(_Landscape):
 
     # -- coupling access ----------------------------------------------------
 
-    def _slab(self, i: int) -> np.ndarray:
-        """Couplings of first index i, shape (N,)*(p-1): the ordered tuple
-        (i, j, ...) reads counter i N^{p-1} + j N^{p-2} + ..."""
+    def _slabs(self, lo: int, hi: int) -> np.ndarray:
+        """Couplings of first indices lo..hi-1, shape (hi-lo,)+(N,)*(p-1):
+        the ordered tuple (i, j, ...) reads counter i N^{p-1} + j N^{p-2} + ..."""
         size = self.N ** (self.p - 1)
-        idx = np.arange(i * size, (i + 1) * size, dtype=np.uint64)
-        return gaussian_from_hash(self._key, idx).reshape((self.N,) * (self.p - 1))
+        idx = np.arange(lo * size, hi * size, dtype=np.uint64)
+        return gaussian_from_hash(self._key, idx).reshape((hi - lo,) + (self.N,) * (self.p - 1))
 
     @staticmethod
     def _fold(block: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -207,7 +208,7 @@ class PSpinDisorder(_Landscape):
                     out[lo : lo + step] = self._fold(self.couplings, signs)
                 else:
                     out[lo : lo + step] = sum(
-                        signs[i] * self._fold(self._slab(i), signs)
+                        signs[i] * self._fold(self._slabs(i, i + 1)[0], signs)
                         for i in range(self.N)
                     )
         return self._norm * out

@@ -262,7 +262,7 @@ def test_pspin_mode_guards():
     # N^p = 2085136 is past the dense storage bound: the couplings are
     # hashed, not refused
     big = ModelParams(N=38, p=4, beta=1.0, gamma=0.5)
-    assert big.N**big.p > aging._DENSE_ENTRIES
+    assert big.N**big.p > hamiltonian._DENSE_MAX_ENTRIES
     est = estimate_aging(big, 0.05, 0.05, 0.3, 4, mode="pspin")
     assert est.excluded == 0 and 0.0 <= est.estimate <= 1.0
     null = ModelParams(N=8, p=3, beta=0.0, gamma=0.5)
@@ -1077,7 +1077,7 @@ def test_pspin_kernel_reads_the_same_couplings_in_either_storage(monkeypatch):
         return aging._aging_kernel(PSPIN, 0.5, 0.5, 32, RngStream(41, 28), cap, "pspin")
 
     dense = run()
-    monkeypatch.setattr(aging, "_DENSE_ENTRIES", 0)
+    monkeypatch.setattr(hamiltonian, "_DENSE_MAX_ENTRIES", 0)
     assert aging._landscapes(PSPIN, "pspin", RngStream(41, 28), np.arange(1))[0].mode == "hashed"
     hashed = run()
     assert np.array_equal(dense[0], hashed[0])

@@ -234,6 +234,18 @@ def test_aging_refuses_infeasible_preset(tmp_path, capsys):
     assert not (tmp_path / "aging.json").exists()
 
 
+def test_aging_prices_a_pspin_step_by_its_couplings(tmp_path, capsys):
+    # p = 4, N = 64 is about 1e6 walk steps here, each contracting 64^4
+    # couplings: refused up front, where a REM run of the same steps passes
+    argv = ["aging", "--N", "64", "--p", "4", "--beta", "1.0", "--gamma", "0.5",
+            "--t", "0.05", "--s", "0.05", "--replicas", "100", "--out", str(tmp_path)]
+    assert main(argv + ["--mode", "pspin"]) == 3
+    assert "not desk-feasible" in capsys.readouterr().err
+    assert not (tmp_path / "aging.json").exists()
+    assert main(argv + ["--mode", "rem", "--max-work", "1e5"]) == 3
+    assert main(argv + ["--mode", "rem"]) == 0
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epsilon", "-0.5"), ("--epsilon", "nan"), ("--t", "nan"), ("--s", "nan"),
 ])

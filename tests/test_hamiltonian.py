@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.special import ndtri
 
+from trapclock import hamiltonian
 from trapclock.core import RngStream, mix64
 from trapclock.hamiltonian import PSpinDisorder, RemDisorder, trajectory_energies
 from trapclock.hypercube import SpinConfig, WalkTrajectory, overlap, sample_walk
@@ -151,19 +153,40 @@ def test_dense_and_hashed_trajectory_energies_agree(N, p, steps):
     assert np.max(np.abs(es - trajectory_energies(dense, traj))) < 1e-12
 
 
-@pytest.mark.parametrize("N, p", [(6, 3), (10, 3), (16, 3), (8, 4)])
+@pytest.mark.parametrize("N, p", [(6, 3), (10, 3), (16, 3), (8, 4), (50, 3)])
 def test_dense_storage_holds_the_hashed_couplings(N, p):
     # one coupling law: the stored tensor is the hashed slabs bit for bit,
-    # and the storage moves only the summation order of an energy
+    # and the storage moves only the summation order of an energy; N=50
+    # fills its tensor in two blocks of slabs (26 and 24)
     stream = RngStream(24, N * 10 + p)
     dense = PSpinDisorder(N, p, stream, mode="dense")
     hashed = PSpinDisorder(N, p, stream, mode="hashed")
     assert dense.couplings.shape == (N,) * p
     for i in range(N):
-        assert dense.couplings[i].tobytes() == hashed._slab(i).tobytes()
+        assert dense.couplings[i].tobytes() == hashed._slabs(i, i + 1)[0].tobytes()
     words = np.random.default_rng(N * p).integers(0, 2**N, size=(700, 1), dtype=np.uint64)
     np.testing.assert_allclose(dense.energy_of_words(words), hashed.energy_of_words(words),
                                rtol=1e-12, atol=1e-15)
+
+
+def test_auto_storage_is_dense_up_to_the_entry_bound(monkeypatch):
+    # N^p alone decides, for every caller, the aging kernel included
+    assert PSpinDisorder(30, 3, RngStream(24, 0)).mode == "dense"
+    monkeypatch.setattr(hamiltonian, "_DENSE_MAX_ENTRIES", 1000)
+    assert PSpinDisorder(10, 3, RngStream(24, 0)).mode == "dense"
+    assert PSpinDisorder(11, 3, RngStream(24, 0)).mode == "hashed"
+
+
+def test_dense_build_holds_the_tensor_and_one_block():
+    # 40^4 couplings (20 MB) hashed a block of slabs at a time, not all at
+    # once into index, hash and output arrays three times the tensor's size
+    tracemalloc.start()
+    try:
+        dis = PSpinDisorder(40, 4, RngStream(24, 1), mode="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dis.couplings.nbytes + (4 << 20)
 
 
 def _rem_reference_energy(dis, bits):
