@@ -38,11 +38,10 @@ same batch code in shared-walk mode: one walk per group, broadcast against
 the group's per-replica traps and waits. Replicas run in batches of 32;
 batches and frozen-chain groups each own their random streams, so the
 results depend on the batch size and the chunk length but not on where the
-batches run. A REM call predicted to take under `core._POOL_STEPS` walk
-steps (`_aging_work`) runs them inline, one after another; larger REM calls
-and every p-spin call of two or more batches run them on the processes of
+batches run. A call of two or more batches runs them on the processes of
 the package's one persistent pool, one per core, forked on first use
-(`core._run_jobs`), which the range-miss groups of `stable` share.
+(`core._run_jobs`), which the range-miss groups of `stable` share; a
+single batch, a single core or a host other than Linux runs them inline.
 """
 
 from __future__ import annotations
@@ -141,12 +140,16 @@ def _landscapes(params: ModelParams, mode: str, rng: RngStream, ids: np.ndarray)
                      for i in ids], dtype=object)
 
 
-def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
-    """Expected microscopic steps of `replicas` clocks run to `horizon`, from
-    the inverse stable mean ``r_steps(1) * horizon**alpha / Gamma(1 + alpha)``
-    per replica; inf where that law gives no finite prediction."""
+def _aging_work(params: ModelParams, horizon: float, replicas: int,
+                mode: str = "rem") -> float:
+    """Expected work of `replicas` clocks run to `horizon`: the microscopic
+    steps, from the inverse stable mean ``r_steps(1) * horizon**alpha /
+    Gamma(1 + alpha)`` per replica, times N^p in p-spin mode, since a p-spin
+    step contracts N^p couplings where a REM step hashes once; inf where
+    that law gives no finite prediction."""
+    scale = params.N**params.p if mode == "pspin" else 1
     if params.beta <= 0.0:
-        return replicas * horizon * math.exp(params.gamma * params.N)
+        return scale * replicas * horizon * math.exp(params.gamma * params.N)
     alpha = params.alpha()
     if not 0.0 < alpha < 1.0:
         return math.inf
@@ -154,7 +157,7 @@ def _aging_work(params: ModelParams, horizon: float, replicas: int) -> float:
         r1 = params.r_steps(1.0)
     except OverflowError:
         return math.inf
-    return replicas * r1 * horizon**alpha / math.gamma(1.0 + alpha)
+    return scale * replicas * r1 * horizon**alpha / math.gamma(1.0 + alpha)
 
 
 def _clock_series(
@@ -384,12 +387,7 @@ def _run_batches(params: ModelParams, mode: str, t: float, s: float, step_cap: i
     inline or on the process pool (`core._run_jobs`), in the order given."""
     scales = _kernel_scales(params, t, s, step_cap, dropped)
     jobs = [(params, mode, *batch, step_cap, *scales) for batch in batches]
-    # p-spin batches go to the pool: `_aging_work` prices a step like a REM
-    # hash, far below a contraction (N=10, 300 replicas: about 50 ms on
-    # two cores' pool, 90 ms inline)
-    replicas = sum(hi - lo for _, lo, hi, *_ in batches)
-    work = math.inf if mode == "pspin" else _aging_work(params, t + s, replicas)
-    return _run_jobs(_batch_job, jobs, work)
+    return _run_jobs(_batch_job, jobs)
 
 
 def _batch_job(params: ModelParams, mode: str, key_rng: RngStream, lo: int, hi: int,

@@ -192,12 +192,8 @@ def _cmd_aging(args) -> None:
         N=args.N, p=args.p, beta=args.beta, gamma=gamma,
         omega=args.omega, seed=args.seed,
     )
-    work = _aging_work(params, args.t + args.s, args.replicas)
-    work += _aging_work(params, args.t + args.s,
-                        args.curve_points * args.curve_replicas)
-    if args.mode == "pspin":
-        # a p-spin step contracts N^p couplings where a REM step hashes once
-        work *= args.N**args.p
+    work = _aging_work(params, args.t + args.s,
+                       args.replicas + args.curve_points * args.curve_replicas, args.mode)
     if work > args.max_work:
         raise NonConclusive(
             f"estimated step work {work:.3e} exceeds --max-work "

@@ -5,9 +5,10 @@ Everything downstream shares three conventions defined here:
 * parameters travel as an immutable :class:`ModelParams`;
 * randomness is counter-based: a :class:`RngStream` is a pure value
   (master_seed, stream_id) and every draw is a function of it, so replicas
-  parallelize without shared state: jobs that own their streams run inline
-  or on one persistent fork pool of worker processes (:func:`_run_jobs`),
-  which the aging batches and the range-miss groups share;
+  parallelize without shared state: a call of two or more jobs that own
+  their streams runs on one persistent fork pool of worker processes
+  (:func:`_run_jobs`), which the aging batches and the range-miss groups
+  share, and inline on one core or off Linux;
 * quantities of the form exp(beta*sqrt(N)*H) are accumulated either in the
   linear domain (desk-scale N fits in float64) or in the log domain via
   :func:`log_cumsum_exp`.
@@ -157,18 +158,10 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def _cpu_count() -> int:
-    """Cores this process may run on: the size of the process pool."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+    """Cores this process may run on: the size of the process pool. Read
+    only on Linux (`_run_jobs`), which has CPU affinity."""
+    return len(os.sched_getaffinity(0))
 
-
-# predicted step work from which a call runs on the worker processes
-# (`aging._aging_work`); smaller calls, such as the CLI's aging preset, run
-# inline, since forking the pool (about 20 ms) and pickling jobs cost more
-# than they save
-_POOL_STEPS = 1e6
 
 # the worker processes (a ProcessPoolExecutor), forked on first use and
 # kept for later calls
@@ -218,26 +211,24 @@ def _close_pool() -> None:
         _drop_pool(_pool)
 
 
-def _run_jobs(fn, jobs: list[tuple], work: float) -> list:
+def _run_jobs(fn, jobs: list[tuple]) -> list:
     """[fn(*job) for job in jobs], inline or on the process pool.
 
     Every job owns its random streams, so neither where the jobs run nor the
     order in which they finish changes a result. The jobs run inline, one
-    after another, when there is one job or one core, when the predicted
-    step work `work` is under `_POOL_STEPS` (a caller that always pools
-    passes inf), or off Linux. Otherwise they run on the package's process
-    pool (`_process_pool`), up to one job per core at a time. Pooled jobs
+    after another, off Linux, when there is one job, or on one core.
+    Otherwise they run on the package's process pool (`_process_pool`), up
+    to one job per core at a time, whatever their size: the pool is forked
+    once (about 20 ms), and later calls pay only the pickling. Pooled jobs
     and results are pickled: `fn` is a module-level function and its
-    arguments are stream handles and scalars. The workers are forked once
-    and keep every module as it was at that moment: a module attribute
-    changed later (a test's monkeypatch) never reaches them, and one changed
-    before the fork stays in them, so code that patches must keep its calls
-    off the pool. A failed job fails the call and cancels its jobs not yet
-    started; a dead worker breaks the pool, and the next call forks a new
-    one.
+    arguments are stream handles and scalars. The workers keep every module
+    as it was when they were forked: a module attribute changed later (a
+    test's monkeypatch) never reaches them, and one changed before the fork
+    stays in them, so code that patches must keep its calls off the pool.
+    A failed job fails the call and cancels its jobs not yet started; a
+    dead worker breaks the pool, and the next call forks a new one.
     """
-    if (min(_cpu_count(), len(jobs)) <= 1 or work < _POOL_STEPS
-            or sys.platform != "linux"):
+    if sys.platform != "linux" or min(len(jobs), _cpu_count()) <= 1:
         return [fn(*job) for job in jobs]
     pool = _process_pool()
     futures = []

@@ -19,9 +19,9 @@ under the Monte Carlo error.
 Replicas are simulated in fixed groups of 1024 (`_PASSAGE_GROUP`), each
 keyed by its index: group g draws from ``rng.substream(g)`` alone, so the
 values do not depend on how many workers run the groups or where. A call
-of one group runs inline; a call of two or more runs its groups on the
-package's process pool, one worker per core (`core._run_jobs`), inline on
-one core or off Linux. The range-miss functions therefore take an
+of two or more groups runs them on the package's process pool, one worker
+per core (`core._run_jobs`); one group, one core or a host other than
+Linux runs inline. The range-miss functions therefore take an
 `RngStream`, not a generator.
 """
 
@@ -189,7 +189,7 @@ def first_passage_values(
             for g, lo in enumerate(range(0, replicas, _PASSAGE_GROUP))]
     if not jobs:
         return np.empty(0)
-    return np.concatenate(_run_jobs(_passage_group, jobs, math.inf))
+    return np.concatenate(_run_jobs(_passage_group, jobs))
 
 
 def _passage_group(alpha: float, K: float, t: float, replicas: int,

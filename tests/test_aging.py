@@ -603,9 +603,8 @@ def test_batch_parallel_kernels_ignore_worker_count(monkeypatch):
     caps = [aging._step_cap(PARAMS, 2.0, f) for f in (8.0, 0.05)]
     pspin_cap = aging._step_cap(PSPIN, 1.0, 8.0)
     runs = []
-    for workers, pool_steps in [(1, math.inf), (2, 0), (3, 0)]:
+    for workers in (1, 2, 3):
         monkeypatch.setattr(core, "_cpu_count", lambda w=workers: w)
-        monkeypatch.setattr(core, "_POOL_STEPS", pool_steps)
         arrays = []
         for cap in caps:
             for replicas in (70, 1000):
@@ -650,7 +649,7 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     try:
         put(2)
-        for pid, seen, before, after in core._run_jobs(_pooled_fold_threads, [()] * 4, math.inf):
+        for pid, seen, before, after in core._run_jobs(_pooled_fold_threads, [()] * 4):
             assert pid != os.getpid() and seen == [1] and after == before
         assert get() == 2
     finally:
@@ -667,8 +666,8 @@ def test_pool_failure_reaches_the_caller(monkeypatch, fn, job, error):
     cores = core._cpu_count()
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     with pytest.raises(error):
-        core._run_jobs(fn, [job, job], math.inf)
-    pids = core._run_jobs(os.getpid, [()] * 4, math.inf)
+        core._run_jobs(fn, [job, job])
+    pids = core._run_jobs(os.getpid, [()] * 4)
     assert os.getpid() not in pids and len(set(pids)) <= max(cores, 2)
 
 
@@ -717,6 +716,16 @@ def test_aging_work_special_branches():
     assert aging._aging_work(deep, 2.0, 3) == math.inf
 
 
+def test_aging_work_prices_a_pspin_step_at_its_couplings():
+    # a p-spin step contracts N^p couplings where a REM step hashes once
+    beta0 = ModelParams(N=10, p=3, beta=0.0, gamma=0.5)
+    for params in (PSPIN, beta0, ModelParams(N=8, p=4, beta=1.5, gamma=1.125)):
+        rem = aging._aging_work(params, 2.0, 300)
+        assert aging._aging_work(params, 2.0, 300, "rem") == rem
+        assert aging._aging_work(params, 2.0, 300, "pspin") == pytest.approx(
+            rem * params.N**params.p, rel=1e-14)
+
+
 class _Pooled(Exception):
     """Raised by a stand-in for the process pool: the call was sent there."""
 
@@ -729,49 +738,38 @@ def _no_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
 
 
-def test_large_calls_go_to_the_pool_and_small_ones_inline(monkeypatch):
-    # the rem-aging benchmark's model; its smallest calls are 40 replicas at
-    # t + s = 1 + 1e-5, and the curve, frozen and range-miss calls are larger
-    rem = ModelParams(N=20, p=3, beta=2.0, gamma=2.0)
-
+def test_calls_of_two_or_more_jobs_go_to_the_pool(monkeypatch):
+    # on a 2-core Linux host a call of two or more jobs goes to the pool
+    # whatever its size, and a one-job call runs inline: it reaches no pool
+    # and starts no thread
     def pool():
         raise _Pooled
 
+    monkeypatch.setattr(core.sys, "platform", "linux")
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     monkeypatch.setattr(core, "_process_pool", pool)
-    assert aging._aging_work(rem, 1.0 + 1e-5, 40) > 4.4e6
-    for call in (lambda: estimate_aging(rem, 1.0, 1e-5, 0.3, 40),
-                 lambda: aging_curve(rem, [0.2], 1.0, 0.3, 64),
-                 lambda: estimate_aging_frozen(rem, 1.0, 1.0, 0.3, 64, groups=2),
-                 lambda: estimate_range_miss(rem, 1.0, 1.0, 96)):
+    # the N=10 point in REM mode at 64 replicas is two batches and about
+    # 4e3 predicted walk steps; 70 p-spin replicas are three batches
+    for call in (lambda: estimate_aging(PSPIN, 0.5, 0.5, 0.3, 64),
+                 lambda: estimate_aging(PSPIN, 0.5, 0.5, 0.3, 70, mode="pspin"),
+                 lambda: estimate_aging_frozen(PARAMS, 0.1, 0.1, 0.3, 2, groups=2),
+                 lambda: estimate_range_miss(PARAMS, 1.0, 1.0, 96),
+                 lambda: core._run_jobs(os.getpid, [(), ()])):
         with pytest.raises(_Pooled):
             call()
-    # a p-spin call of two or more batches goes there whatever its
-    # predicted work: the N=10 preset's 300 replicas, and 70
-    for replicas in (300, 70):
-        with pytest.raises(_Pooled):
-            estimate_aging(PSPIN, 0.5, 0.5, 0.3, replicas, mode="pspin")
-    # the REM warm-ups, the one-batch p-spin warm-up and the criterion-9
-    # aging preset (the N=10 model in REM mode) run inline: they reach no
-    # pool and start no thread
-    for params, horizon, replicas in [(rem, 0.2, 8), (PSPIN, 1.0, 300)]:
-        assert aging._aging_work(params, horizon, replicas) <= 4.0e5
     _no_threads(monkeypatch)
     before = threading.active_count()
     warm = RngStream(3, 3)
-    estimate_aging(rem, 0.1, 0.1, 0.3, 8, rng=warm)
-    estimate_aging_frozen(rem, 0.1, 0.1, 0.3, 2, groups=2, rng=warm)
-    estimate_range_miss(rem, 0.1, 0.1, 8, rng=warm)
-    estimate_aging(PSPIN, 0.05, 0.05, 0.3, 4, mode="pspin", rng=warm)
-    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 300)
+    estimate_aging(CRITERION_7, 0.1, 0.1, 0.3, 8, rng=warm)
+    estimate_aging(PSPIN, 0.5, 0.5, 0.3, 32, mode="pspin", rng=warm)
+    estimate_range_miss(CRITERION_7, 0.1, 0.1, 8, rng=warm)
     assert threading.active_count() == before
 
 
 def test_large_calls_run_inline_off_linux(monkeypatch):
-    # the pool is forked, so only Linux uses it: elsewhere a call predicted
-    # above `_POOL_STEPS` runs inline, and gives the bytes it gives pooled
+    # the pool is forked, so only Linux uses it: elsewhere a call of many
+    # batches runs inline, and gives the bytes it gives pooled
     replicas, cap = 480, aging._step_cap(PARAMS, 2.0, 8.0)
-    assert aging._aging_work(PARAMS, 2.0, replicas) > core._POOL_STEPS
 
     def kernel_bytes():
         return [a.tobytes() for a in aging._aging_kernel(
@@ -790,31 +788,23 @@ def _worker_pids() -> set[int]:
 
 
 def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
-    # small calls start no thread; the pool's workers live on, the same ones
-    # for every pooled call, until the interpreter exits and joins them; an
-    # earlier call may have forked the pool with the host's core count
+    # the pool's workers live on, the same ones for every pooled call, until
+    # the interpreter exits and joins them; an earlier call may have forked
+    # the pool with the host's core count
     cores = core._cpu_count()
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
-    before = threading.active_count()
     estimate_aging(PARAMS, 1.0, 1.0, 0.3, 240, rng=RngStream(41, 26))
-    assert threading.active_count() == before
-    estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
-    assert threading.active_count() == before
-
-    estimate_aging(PARAMS, 1.0, 1.0, 0.3, 1100, rng=RngStream(41, 26))
     workers = _worker_pids()
     assert 0 < len(workers) <= max(cores, 2)
-    monkeypatch.setattr(core, "_POOL_STEPS", 0)
     estimate_aging_frozen(PARAMS, 1.0, 1.0, 0.3, 20, groups=3, rng=RngStream(41, 27))
     assert _worker_pids() == workers
-    assert set(core._run_jobs(os.getpid, [()] * 8, math.inf)) <= workers
+    assert set(core._run_jobs(os.getpid, [()] * 8)) <= workers
 
     script = (
         "import multiprocessing\n"
         "from trapclock import aging, core\n"
         "from trapclock.core import ModelParams, RngStream\n"
         "core._cpu_count = lambda: 2\n"
-        "core._POOL_STEPS = 0\n"
         "aging.estimate_aging(ModelParams(N=12, p=3, beta=2.0, gamma=2.0), 1.0, 1.0, 0.3, 96,\n"
         "                     rng=RngStream(41, 26))\n"
         "print(*(child.pid for child in multiprocessing.active_children()))\n"
